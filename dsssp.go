@@ -115,6 +115,11 @@ func WitnessParents(g *Graph, source NodeID, dist []int64) []NodeID {
 // MaxEdgeMessages (congestion), MaxAwake (energy), Messages, and more.
 type Metrics = simnet.Metrics
 
+// ComputeError is what every entry point returns for well-formed input it
+// cannot process: a MaxRounds overrun, a strict-CONGEST violation, or an
+// invalid option combination. Classify it with errors.As.
+type ComputeError = simnet.ComputeError
+
 // Options tunes a run.
 type Options struct {
 	// Model selects CONGEST (default) or the sleeping model.
@@ -165,12 +170,12 @@ func (o *Options) resolved() (Model, core.Options, error) {
 	switch m {
 	case ModelCongest, ModelSleeping:
 		if copt.StrictCongest && m != ModelCongest {
-			return 0, core.Options{}, fmt.Errorf(
+			return 0, core.Options{}, simnet.Computef(
 				"dsssp: Options.StrictCongest applies to ModelCongest only (got %s)", m)
 		}
 		return m, copt, nil
 	default:
-		return 0, core.Options{}, fmt.Errorf(
+		return 0, core.Options{}, simnet.Computef(
 			"dsssp: invalid Options.Model %d: use ModelCongest (%d), ModelSleeping (%d), or leave it zero for the CONGEST default",
 			int(m), int(ModelCongest), int(ModelSleeping))
 	}
@@ -241,7 +246,7 @@ func BFS(g *Graph, sources map[NodeID]bool, threshold int64, opts *Options) (*Re
 		// The CONGEST-side BFS baseline simulates in the sleeping engine
 		// (always awake) for the energy contrast, so the strict bandwidth
 		// budget does not attach to it.
-		return nil, fmt.Errorf("dsssp: Options.StrictCongest is supported for SSSP/CSSP/APSP, not BFS")
+		return nil, simnet.Computef("dsssp: Options.StrictCongest is supported for SSSP/CSSP/APSP, not BFS")
 	}
 	if m == ModelSleeping {
 		src := make(map[NodeID]int64, len(sources))

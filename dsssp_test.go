@@ -1,6 +1,8 @@
 package dsssp
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -130,5 +132,49 @@ func TestUnknownModelRejected(t *testing.T) {
 	g.SortAdj()
 	if _, err := CSSP(g, map[NodeID]int64{0: 0}, &Options{Model: Model(99)}); err == nil {
 		t.Fatal("want error")
+	}
+}
+
+// TestComputeErrorTyped pins the one typed error every entry point returns
+// for well-formed input it cannot process — through sched's %w wrapping on
+// APSP too — with each layer's message text unchanged.
+func TestComputeErrorTyped(t *testing.T) {
+	g := graph.Path(8, graph.UnitWeights)
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"eps", func() error {
+			_, err := SSSP(g, 0, &Options{EpsNum: 3, EpsDen: 2})
+			return err
+		}, "core: ε must be in (0,1), got 3/2"},
+		{"max-rounds", func() error {
+			_, err := SSSP(g, 0, &Options{MaxRounds: 3})
+			return err
+		}, "simnet: exceeded MaxRounds=3"},
+		{"apsp-max-rounds", func() error {
+			_, err := APSP(g, &Options{MaxRounds: 3, Workers: 1}, 1)
+			return err
+		}, "sched: SSSP from 0: simnet: exceeded MaxRounds=3"},
+		{"strict-sleeping", func() error {
+			_, err := SSSP(g, 0, &Options{Model: ModelSleeping, StrictCongest: true})
+			return err
+		}, "dsssp: Options.StrictCongest applies to ModelCongest only"},
+		{"strict-bfs", func() error {
+			_, err := BFS(g, map[NodeID]bool{0: true}, 4, &Options{StrictCongest: true})
+			return err
+		}, "dsssp: Options.StrictCongest is supported for SSSP/CSSP/APSP, not BFS"},
+	}
+	for _, tc := range cases {
+		err := tc.run()
+		var ce *ComputeError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: error %v (%T) is not a *ComputeError", tc.name, err, err)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want prefix %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -34,7 +34,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"dsssp/internal/bfs"
@@ -82,7 +81,7 @@ func (o Options) eps() (int64, int64) {
 func (o Options) validEps() (int64, int64, error) {
 	epsNum, epsDen := o.eps()
 	if epsNum <= 0 || epsDen <= 0 || epsNum >= epsDen {
-		return 0, 0, fmt.Errorf("core: ε must be in (0,1), got %d/%d", epsNum, epsDen)
+		return 0, 0, simnet.Computef("core: ε must be in (0,1), got %d/%d", epsNum, epsDen)
 	}
 	return epsNum, epsDen, nil
 }

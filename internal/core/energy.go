@@ -229,7 +229,7 @@ func RunEnergyCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options)
 		return nil, Stats{}, simnet.Metrics{}, err
 	}
 	if opts.StrictCongest {
-		return nil, Stats{}, simnet.Metrics{}, fmt.Errorf("core: StrictCongest applies to the CONGEST model, not the sleeping model")
+		return nil, Stats{}, simnet.Metrics{}, simnet.Computef("core: StrictCongest applies to the CONGEST model, not the sleeping model")
 	}
 	pr, err := prepareProblem(g, sortedSources(sources))
 	if err != nil {

@@ -227,7 +227,7 @@ type problem struct {
 func prepareProblem(g *graph.Graph, srcs []sourceOffset) (problem, error) {
 	for _, s := range srcs {
 		if s.off < 0 {
-			return problem{}, fmt.Errorf("core: negative offset %d at source %d", s.off, s.v)
+			return problem{}, simnet.Computef("core: negative offset %d at source %d", s.off, s.v)
 		}
 	}
 	pr := problem{run: g, scale: 1}

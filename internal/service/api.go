@@ -264,6 +264,8 @@ func parseDeltas(ds []DeltaJSON, n int) ([]graph.EdgeDelta, error) {
 			return nil, badf("delta %d: endpoints {%d,%d} out of range [0,%d)", i, d.U, d.V, n)
 		case op != graph.DeltaDelete && d.W < 0:
 			return nil, badf("delta %d: negative weight %d", i, d.W)
+		case op != graph.DeltaDelete && d.W > maxWeight(n):
+			return nil, badf("delta %d: weight %d exceeds %d (need (n-1)·w < 2^62 at n=%d)", i, d.W, maxWeight(n), n)
 		}
 		out[i] = graph.EdgeDelta{Op: op, U: graph.NodeID(d.U), V: graph.NodeID(d.V), W: d.W}
 	}
@@ -315,6 +317,8 @@ func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
 			return nil, badf("edge %d: endpoints {%d,%d} out of range [0,%d)", i, e[0], e[1], spec.N)
 		case w < 0:
 			return nil, badf("edge %d: negative weight %d", i, w)
+		case w > maxWeight(spec.N):
+			return nil, badf("edge %d: weight %d exceeds %d (need (n-1)·w < 2^62 at n=%d)", i, w, maxWeight(spec.N), spec.N)
 		}
 		edges[i] = [3]int64{u, v, w}
 	}
@@ -364,6 +368,9 @@ func buildGeneratorGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
 	}
 	w := graph.UnitWeights
 	if spec.Weights != nil {
+		if spec.Weights.MaxW > maxWeight(spec.N) {
+			return nil, badf("max_w %d exceeds %d (need (n-1)·max_w < 2^62 at n=%d)", spec.Weights.MaxW, maxWeight(spec.N), spec.N)
+		}
 		wseed := weightSeed(spec)
 		switch spec.Weights.Kind {
 		case "", string(harness.WeightUnit):
@@ -383,6 +390,13 @@ func buildGeneratorGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
 	}
 	return graph.Make(fam, spec.N, w, spec.Seed), nil
 }
+
+// maxWeight is the largest edge weight an n-node graph accepts at the
+// service's ingress: a shortest path has at most n-1 edges, so
+// (n-1)·w < graph.Inf keeps every finite distance below the +Inf sentinel
+// (2^62). Heavier weights overflow the algorithms' arithmetic, which the
+// library does not check.
+func maxWeight(n int) int64 { return (graph.Inf - 1) / int64(max(n-1, 1)) }
 
 // weightSeed derives a generator spec's weight-stream seed. The spec-seed
 // contract: spec.Seed names the structure stream verbatim (graph.Make

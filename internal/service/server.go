@@ -1,13 +1,23 @@
-// Package service is the long-running serving layer over the whole stack:
-// an HTTP API that answers SSSP/APSP/path queries (inline graphs or
-// generator specs) from a bounded worker pool behind a content-addressed
-// result cache, runs scenario sweeps as cancellable async jobs whose
-// reports land in an append-only history store, and chains that history
-// through internal/benchdiff into per-scenario and per-phase envelope-ratio
-// trends. The determinism the bench harness guarantees is what makes this
-// sound: a query result is a pure function of (canonical graph, options),
-// so cached bytes are indistinguishable from recomputation, and stored
-// reports from different moments in history are directly comparable.
+// Package service is the long-running serving layer over the whole stack.
+//
+// Its core is one query path. /v1/sssp, /v1/path and /v1/apsp each decode
+// a request and project a response; everything between goes through
+// serveQuery: resolve the graph (inline, generator spec, or a registered
+// handle), range-check the named nodes, key the request, and serve it from
+// a content-addressed result cache in front of a bounded worker pool. A
+// miss is answered per source, the way the paper builds APSP from
+// independent SSSP instances. On a registered graph, each source comes
+// from a row already traced at this revision, from affected-region repair
+// of a stale trace, or from the engine (runEngine). Answers are recorded
+// back into the registry so the next PATCH can classify them. The
+// determinism the bench harness guarantees is what makes this sound: a
+// query result is a pure function of (canonical graph, options), so cached
+// bytes are indistinguishable from recomputation.
+//
+// Around that path the package registers and patches dynamic graphs, runs
+// scenario sweeps as cancellable async jobs whose reports land in an
+// append-only history store, and chains that history through
+// internal/benchdiff into per-scenario and per-phase envelope-ratio trends.
 package service
 
 import (
@@ -29,6 +39,7 @@ import (
 	"dsssp/internal/incr"
 	"dsssp/internal/obs"
 	"dsssp/internal/obs/trace"
+	"dsssp/internal/simnet"
 )
 
 // Config tunes a Server. The zero value serves with sane defaults except
@@ -282,153 +293,71 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	// breakdown; folding trace into the options before the key is computed
 	// keeps traced and untraced responses as distinct cache entries.
 	req.Options.RecordPhases = req.Options.RecordPhases || wantTrace(r)
-	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
-	if !ok {
-		return
-	}
-	if req.Source < 0 || req.Source >= int64(g.N()) {
-		s.replyError(w, badf("source %d out of range [0,%d)", req.Source, g.N()))
-		return
-	}
-	parts := queryKeyParts("sssp", req.Options, fmt.Sprintf("src=%d", req.Source))
-	repaired := false
-	hit, ok := s.finishQuery(w, r, keyFromDigest(digest, parts), func(sp *trace.Span) ([]byte, bool, error) {
-		// A cache miss on a registered graph first tries affected-region
-		// repair of the source's remembered trace — skipped when the
-		// request wants the per-phase breakdown, which only a real
-		// simulation can produce. Repaired bodies are deliberately NOT
-		// cached: they carry the incr block and no simulation metrics, so
-		// they are not the key's canonical bytes; a later full recompute
-		// (or the next cache hit on an already-canonical entry) re-mints
-		// those.
-		if !req.Options.RecordPhases {
-			if rr := s.tryRepair(sp, ref, digest, g, graph.NodeID(req.Source)); rr != nil {
-				repaired = true
-				w.Header().Set("X-Dsssp-Incr", "repaired")
-				resp := SSSPResponse{
-					N: g.N(), M: g.M(),
-					Dist:        rr.Dist,
-					Unreachable: countUnreachable(rr.Dist),
-					Incr:        queryIncr(rr, g.N()),
-				}
-				b, err := json.Marshal(resp)
-				return b, false, err
+	src := graph.NodeID(req.Source)
+	s.serveQuery(w, r, "sssp", req.Graph, req.Options, fmt.Sprintf("src=%d", req.Source),
+		func(q *query, sp *trace.Span) ([]byte, bool, error) {
+			a, err := s.answerSource(w, sp, q, src, false)
+			if err != nil {
+				return nil, false, err
 			}
-		}
-		if ref != nil {
-			w.Header().Set("X-Dsssp-Incr", "recomputed")
-		}
-		eng := sp.StartChild("engine")
-		res, err := dsssp.SSSP(g, graph.NodeID(req.Source), opts)
-		if err != nil {
-			eng.SetError(err.Error())
-			eng.End()
-			return nil, false, err
-		}
-		phases := harness.PhasesFromSpans(res.Metrics.Spans)
-		graftEnginePhases(eng, phases)
-		eng.End()
-		s.metrics.observePhases(phases, sp.TraceIDString())
-		if ref != nil {
-			// The distance row is what a future PATCH classifies this
-			// source against; the witness tree is what a repair restarts
-			// from; the parts string is how a PATCH re-addresses or
-			// invalidates this response's cache entry.
-			s.registry.Record(ref.id, digest, graph.NodeID(req.Source), res.Dist,
-				graph.WitnessParents(g, graph.NodeID(req.Source), res.Dist), parts)
-		}
-		resp := SSSPResponse{
-			N: g.N(), M: g.M(),
-			Dist:           res.Dist,
-			Unreachable:    countUnreachable(res.Dist),
-			SubproblemsMax: res.SubproblemsMax,
-			Metrics:        metricsJSON(res.Metrics),
-		}
-		if req.Options.RecordPhases {
-			resp.Phases = phases
-		}
-		b, err := json.Marshal(resp)
-		return b, true, err
-	})
-	if ok && ref != nil {
-		s.countReuse(hit, repaired, 1)
-	}
+			resp := SSSPResponse{
+				N: q.g.N(), M: q.g.M(),
+				Dist:           a.Dist,
+				Unreachable:    countUnreachable(a.Dist),
+				SubproblemsMax: a.SubproblemsMax,
+				Metrics:        metricsJSON(a.Metrics),
+				Incr:           a.incr,
+			}
+			if q.phases {
+				resp.Phases = a.phases
+			}
+			b, err := json.Marshal(resp)
+			return b, a.incr == nil, err
+		}, req.Source)
 }
 
-// tryRepair attempts affected-region repair for one source of a registered
-// graph: resolve the remembered trace and its net changes, bound the
-// affected region by the configured fraction of n, and run incr.Repair.
-// nil means the caller must fall back to the full computation (no usable
-// trace, repair disabled, or the region outgrew the cutoff). On success
-// the repaired trace is promoted to the head revision, so the next PATCH
-// classifies it and the next query serves it in O(n).
-//
-// A sampled request gets a repair span under sp, with the four repair
-// phases (carve/seed/settle/witness) grafted as children carrying their
-// measured wall times, and the affected-region sizes as attributes; the
-// same per-phase split feeds dsssp_repair_phase_seconds so repaired
-// queries have a breakdown story like computed ones.
-func (s *Server) tryRepair(sp *trace.Span, ref *graphRef, digest [32]byte, g *graph.Graph, src graph.NodeID) *incr.RepairResult {
-	if ref == nil || s.cfg.RepairMaxAffected < 0 {
-		return nil
+func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
+	var req PathRequest
+	if !s.decode(w, r, &req) {
+		return
 	}
-	tr, changes, ok := s.registry.Repairable(ref.id, digest, src)
-	if !ok {
-		return nil
-	}
-	limit := 0
-	if s.cfg.RepairMaxAffected > 0 {
-		limit = int(s.cfg.RepairMaxAffected * float64(g.N()))
-		if limit < 1 {
-			limit = 1
-		}
-	}
-	rsp := sp.StartChild("repair")
-	rsp.SetAttr("source", int64(src))
-	rsp.SetAttr("changes", len(changes))
-	start := time.Now()
-	rr, ok := incr.Repair(g, src, tr, changes, limit)
-	s.metrics.repairSeconds.Observe(time.Since(start).Seconds())
-	if !ok {
-		s.metrics.incrRepairFallbacks.Inc()
-		rsp.SetAttr("outcome", "fallback")
-		rsp.End()
-		return nil
-	}
-	s.metrics.incrSourcesRepaired.Inc()
-	s.metrics.repairAffectedFraction.Observe(float64(rr.Affected) / float64(g.N()))
-	rsp.SetAttr("outcome", "repaired")
-	rsp.SetAttr("affected", rr.Affected)
-	rsp.SetAttr("orphaned", rr.Orphaned)
-	rsp.SetAttr("affected_fraction", float64(rr.Affected)/float64(g.N()))
-	cursor := rsp.StartTime()
-	for i, ns := range rr.PhaseNS {
-		s.metrics.repairPhaseSeconds.With(incr.RepairPhaseNames[i]).Observe(float64(ns) / 1e9)
-		rsp.Graft("repair:"+incr.RepairPhaseNames[i], cursor, time.Duration(ns))
-		cursor = cursor.Add(time.Duration(ns))
-	}
-	rsp.End()
-	s.registry.Record(ref.id, digest, src, rr.Dist, rr.Parent, "")
-	return rr
+	// A path response carries no phases, so ?trace=1 is not folded into
+	// its options (an explicit options.record_phases still keys the entry
+	// and rules out repair).
+	src, dst := graph.NodeID(req.Source), graph.NodeID(req.Target)
+	s.serveQuery(w, r, "path", req.Graph, req.Options, fmt.Sprintf("src=%d|dst=%d", req.Source, req.Target),
+		func(q *query, sp *trace.Span) ([]byte, bool, error) {
+			a, err := s.answerSource(w, sp, q, src, true)
+			if err != nil {
+				return nil, false, err
+			}
+			resp := PathResponse{Dist: a.Dist[dst], Path: []int64{}, Metrics: metricsJSON(a.Metrics), Incr: a.incr}
+			if resp.Dist != graph.Inf {
+				// Unreachable targets are an answer (dist = +Inf sentinel,
+				// empty path), not an error.
+				nodes, err := a.PathTo(dst)
+				if err != nil {
+					return nil, false, err
+				}
+				for _, v := range nodes {
+					resp.Path = append(resp.Path, int64(v))
+				}
+			}
+			b, err := json.Marshal(resp)
+			return b, a.incr == nil, err
+		}, req.Source, req.Target)
 }
 
-func queryIncr(rr *incr.RepairResult, n int) *QueryIncrJSON {
-	return &QueryIncrJSON{
-		Served:           "repaired",
-		AffectedVertices: rr.Affected,
-		AffectedFraction: float64(rr.Affected) / float64(n),
+func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
+	var req APSPRequest
+	if !s.decode(w, r, &req) {
+		return
 	}
-}
-
-// countReuse feeds the registered-graph reuse counters: a cache hit is a
-// source served without recomputation, a repaired miss was counted by
-// tryRepair already, and everything else is a recompute.
-func (s *Server) countReuse(hit, repaired bool, sources int64) {
-	if hit {
-		s.metrics.incrSourcesReused.Add(sources)
-	} else if !repaired {
-		s.metrics.incrSourcesRecomputed.Add(sources)
-	}
+	req.Options.RecordPhases = req.Options.RecordPhases || wantTrace(r)
+	s.serveQuery(w, r, "apsp", req.Graph, req.Options, fmt.Sprintf("seed=%d", req.Seed),
+		func(q *query, sp *trace.Span) ([]byte, bool, error) {
+			return s.answerAPSP(w, sp, q, req.Seed)
+		})
 }
 
 // wantTrace reports whether the query string asks for the span-level
@@ -442,295 +371,58 @@ func wantTrace(r *http.Request) bool {
 	return false
 }
 
-func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
-	var req PathRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
+// query is one resolved query request: the graph, its digest (the cache
+// key's graph half), the engine options, the registered graph's handle
+// ("" for inline and generator specs), the cache key's request half, and
+// whether the response carries the per-phase breakdown. A registered
+// graph resolves to its immutable head snapshot, so a PATCH landing
+// mid-computation cannot change the answer. On a miss, reused and
+// recomputed tally how the sources were served (tryRepair counts repairs).
+type query struct {
+	g       *graph.Graph
+	digest  [32]byte
+	opts    *dsssp.Options
+	graphID string
+	parts   string
+	phases  bool
+
+	reused, recomputed int
+}
+
+// serveQuery is the one query path behind /v1/sssp, /v1/path and
+// /v1/apsp: resolve the graph and options, range-check the request's
+// source and target (nodes), key it, and serve it through the
+// content-addressed cache and the bounded worker pool. Hits skip the pool;
+// a miss waits for a worker slot (respecting request cancellation while
+// queued) and project builds its body, saying whether those bytes may be
+// cached — not when they depend on history, as repaired and
+// partially-reused answers do. Identical concurrent misses collapse into
+// one computation whose followers are counted and marked as hits.
+//
+// On a registered graph the reuse counters move last: a hit counts the
+// request's one source (all n for apsp, which names no nodes) as reused,
+// a miss counts the split its answers tallied.
+//
+// Tracing: the request gains a cache.lookup span labeled with the outcome
+// (hit / shared / miss); only the flight leader opens queue.wait and exec
+// spans — a follower's wait shows inside its own cache.lookup — and
+// project hangs its repair and engine spans under exec.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string, spec GraphSpec, qo QueryOptions,
+	detail string, project func(q *query, sp *trace.Span) ([]byte, bool, error), nodes ...int64) {
+	q, ok := s.prepare(w, r, spec, qo)
 	if !ok {
 		return
 	}
-	for name, v := range map[string]int64{"source": req.Source, "target": req.Target} {
-		if v < 0 || v >= int64(g.N()) {
-			s.replyError(w, badf("%s %d out of range [0,%d)", name, v, g.N()))
+	for i, id := range nodes {
+		if id < 0 || id >= int64(q.g.N()) {
+			s.replyError(w, badf("%s %d out of range [0,%d)", [...]string{"source", "target"}[i], id, q.g.N()))
 			return
 		}
 	}
-	parts := queryKeyParts("path", req.Options, fmt.Sprintf("src=%d|dst=%d", req.Source, req.Target))
-	repaired := false
-	hit, ok := s.finishQuery(w, r, keyFromDigest(digest, parts), func(sp *trace.Span) ([]byte, bool, error) {
-		// A repaired trace answers a path query directly: the witness tree
-		// IS the shortest-path tree, so the path is a parent walk from the
-		// target — no simulation, no tree extraction.
-		if !req.Options.RecordPhases {
-			if rr := s.tryRepair(sp, ref, digest, g, graph.NodeID(req.Source)); rr != nil {
-				repaired = true
-				w.Header().Set("X-Dsssp-Incr", "repaired")
-				resp := PathResponse{Dist: rr.Dist[req.Target], Path: []int64{}, Incr: queryIncr(rr, g.N())}
-				if resp.Dist != graph.Inf {
-					nodes := walkParents(rr.Parent, graph.NodeID(req.Source), graph.NodeID(req.Target))
-					for _, v := range nodes {
-						resp.Path = append(resp.Path, int64(v))
-					}
-				}
-				b, err := json.Marshal(resp)
-				return b, false, err
-			}
-		}
-		if ref != nil {
-			w.Header().Set("X-Dsssp-Incr", "recomputed")
-		}
-		eng := sp.StartChild("engine")
-		tr, err := dsssp.SSSPTree(g, graph.NodeID(req.Source), opts)
-		if err != nil {
-			eng.SetError(err.Error())
-			eng.End()
-			return nil, false, err
-		}
-		pathPhases := harness.PhasesFromSpans(tr.Metrics.Spans)
-		graftEnginePhases(eng, pathPhases)
-		eng.End()
-		s.metrics.observePhases(pathPhases, sp.TraceIDString())
-		if ref != nil {
-			// A path query is an SSSP from its source under the covers, so
-			// its trace classifies (and migrates/invalidates) like one —
-			// and it already carries the witness tree repair needs.
-			s.registry.Record(ref.id, digest, graph.NodeID(req.Source), tr.Dist, tr.Parent, parts)
-		}
-		resp := PathResponse{Dist: tr.Dist[req.Target], Path: []int64{}, Metrics: metricsJSON(tr.Metrics)}
-		if resp.Dist != graph.Inf {
-			// Unreachable targets are an answer (dist = +Inf sentinel,
-			// empty path), not an error.
-			nodes, err := tr.PathTo(graph.NodeID(req.Target))
-			if err != nil {
-				return nil, false, err
-			}
-			for _, v := range nodes {
-				resp.Path = append(resp.Path, int64(v))
-			}
-		}
-		b, err := json.Marshal(resp)
-		return b, true, err
-	})
-	if ok && ref != nil {
-		s.countReuse(hit, repaired, 1)
-	}
-}
-
-// walkParents reconstructs target → … → source from a witness parent tree
-// — the exact orientation dsssp.TreeResult.PathTo returns, so a repaired
-// path response is byte-identical to a computed one.
-func walkParents(parent []graph.NodeID, source, target graph.NodeID) []graph.NodeID {
-	path := []graph.NodeID{target}
-	for v := target; v != source && parent[v] >= 0; {
-		v = parent[v]
-		path = append(path, v)
-	}
-	return path
-}
-
-func (s *Server) handleAPSP(w http.ResponseWriter, r *http.Request) {
-	var req APSPRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Options.RecordPhases = req.Options.RecordPhases || wantTrace(r)
-	g, digest, opts, ref, ok := s.prepare(w, r, req.Graph, req.Options)
-	if !ok {
-		return
-	}
-	parts := queryKeyParts("apsp", req.Options, fmt.Sprintf("seed=%d", req.Seed))
-	var rowsReused, rowsRecomputed int64
-	hit, ok := s.finishQuery(w, r, keyFromDigest(digest, parts), func(sp *trace.Span) ([]byte, bool, error) {
-		// For a registered graph, fan out only to sources without a traced
-		// row at this revision — and before fanning out, try affected-region
-		// repair on each untraced source that still has a stale trace.
-		// Per-source SSSP instances are independent, so a reused or repaired
-		// row is byte-identical to what a re-run would produce; only the
-		// Composition (which describes the instances actually run this time)
-		// and the Incr split distinguish a partially-reused response from a
-		// from-scratch one.
-		var traced map[graph.NodeID][]int64
-		if ref != nil {
-			traced = s.registry.Rows(ref.id, digest)
-		}
-		missing := make([]graph.NodeID, 0, g.N())
-		dist := make([][]int64, g.N())
-		for v := 0; v < g.N(); v++ {
-			if row, ok := traced[graph.NodeID(v)]; ok {
-				dist[v] = row
-			} else {
-				missing = append(missing, graph.NodeID(v))
-			}
-		}
-		repairedRows := 0
-		if ref != nil && len(missing) > 0 {
-			still := missing[:0]
-			for _, src := range missing {
-				if rr := s.tryRepair(sp, ref, digest, g, src); rr != nil {
-					dist[src] = rr.Dist
-					repairedRows++
-				} else {
-					still = append(still, src)
-				}
-			}
-			missing = still
-		}
-		reused := g.N() - len(missing) - repairedRows
-		resp := APSPResponse{N: g.N(), M: g.M(), Dist: dist}
-		if len(missing) > 0 {
-			eng := sp.StartChild("engine")
-			eng.SetAttr("sources", len(missing))
-			res, err := dsssp.APSPFrom(g, missing, opts, req.Seed)
-			if err != nil {
-				eng.SetError(err.Error())
-				eng.End()
-				return nil, false, err
-			}
-			for _, src := range missing {
-				dist[src] = res.Dist[src]
-			}
-			comp := res.Composition
-			phases := harness.PhasesFromSpans(comp.Spans)
-			graftEnginePhases(eng, phases)
-			eng.End()
-			s.metrics.observePhases(phases, sp.TraceIDString())
-			resp.Composition = CompositionJSON{
-				Dilation: comp.Dilation, Congestion: comp.Congestion,
-				MakespanAligned: comp.MakespanAligned, MakespanRandom: comp.MakespanRandom,
-				MakespanSequential: comp.MakespanSequential, MaxMessageBits: comp.MaxMessageBits,
-			}
-			if req.Options.RecordPhases {
-				resp.Phases = phases
-			}
-		}
-		if ref != nil {
-			// Recomputed rows are recorded with their witness trees so a
-			// later PATCH demotes them to repairable stale traces instead of
-			// forgetting them. (Repaired rows were promoted by tryRepair.)
-			newRows := make(map[graph.NodeID]incr.Trace, len(missing))
-			for _, src := range missing {
-				newRows[src] = incr.Trace{Dist: dist[src], Parent: graph.WitnessParents(g, src, dist[src])}
-			}
-			// The whole-body entry is recorded only for a from-scratch run:
-			// a partially-reused or repaired body is history-dependent (its
-			// Composition and Incr depend on what happened to be traced), so
-			// it must not become this key's cached bytes.
-			bodyParts := parts
-			if reused > 0 || repairedRows > 0 {
-				bodyParts = ""
-			}
-			s.registry.RecordRows(ref.id, digest, newRows, bodyParts)
-		}
-		if reused > 0 || repairedRows > 0 {
-			resp.Incr = &IncrJSON{SourcesReused: reused, SourcesRepaired: repairedRows, SourcesRecomputed: len(missing)}
-			rowsReused, rowsRecomputed = int64(reused), int64(len(missing))
-			if repairedRows > 0 {
-				w.Header().Set("X-Dsssp-Incr", fmt.Sprintf("reused=%d repaired=%d recomputed=%d", reused, repairedRows, len(missing)))
-			} else {
-				w.Header().Set("X-Dsssp-Incr", fmt.Sprintf("reused=%d recomputed=%d", reused, len(missing)))
-			}
-			b, err := json.Marshal(resp)
-			return b, false, err
-		}
-		b, err := json.Marshal(resp)
-		return b, true, err
-	})
-	if ok && ref != nil {
-		// A body-cache hit means every source was served without recompute;
-		// a miss splits per the incremental assembly above (all-recompute
-		// when nothing was traced; repaired rows were counted by tryRepair).
-		if hit {
-			s.metrics.incrSourcesReused.Add(int64(g.N()))
-		} else {
-			s.metrics.incrSourcesReused.Add(rowsReused)
-			s.metrics.incrSourcesRecomputed.Add(rowsRecomputed)
-		}
-	}
-}
-
-// graphRef identifies the registered graph a query resolved (nil for
-// inline/generator specs): the handle plus the head revision the query is
-// pinned to. The resolved snapshot is immutable, so the query is
-// consistent even if a PATCH lands mid-computation — it answers for the
-// revision it resolved.
-type graphRef struct {
-	id       string
-	revision int
-}
-
-// prepare resolves the graph (inline, generator, or registered handle)
-// and options for a query, replying on error. For registered graphs the
-// handle and revision travel in response headers, not the body: cached
-// bodies are migrated verbatim across revisions on PATCH, so a body-borne
-// revision number would go stale the moment an entry is carried forward.
-// A sampled request gets a graph.resolve span recording where the graph
-// came from (registry / inline / generator) and its size.
-func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec, qo QueryOptions) (*graph.Graph, [32]byte, *dsssp.Options, *graphRef, bool) {
-	sp := trace.FromContext(r.Context()).StartChild("graph.resolve")
-	fail := func(err error) (*graph.Graph, [32]byte, *dsssp.Options, *graphRef, bool) {
-		sp.SetError(err.Error())
-		sp.End()
-		s.replyError(w, err)
-		return nil, [32]byte{}, nil, nil, false
-	}
-	opts, err := resolveOptions(qo, s.cfg.Workers, s.cfg.MaxIntraWorkers)
-	if err != nil {
-		return fail(err)
-	}
-	if spec.ID != "" {
-		if spec.N != 0 || len(spec.Edges) > 0 || spec.Family != "" || spec.Seed != 0 || spec.Weights != nil {
-			return fail(badf("graph.graph_id is mutually exclusive with inline and generator fields"))
-		}
-		g, digest, rev, err := s.registry.Resolve(spec.ID)
-		if err != nil {
-			return fail(err)
-		}
-		w.Header().Set("X-Dsssp-Graph-Id", spec.ID)
-		w.Header().Set("X-Dsssp-Graph-Revision", strconv.Itoa(rev))
-		sp.SetAttr("source", "registry")
-		sp.SetAttr("graph_id", spec.ID)
-		sp.SetAttr("revision", rev)
-		sp.SetAttr("n", g.N())
-		sp.End()
-		return g, digest, opts, &graphRef{id: spec.ID, revision: rev}, true
-	}
-	g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
-	if err != nil {
-		return fail(err)
-	}
-	if spec.Family != "" {
-		sp.SetAttr("source", "generator")
-	} else {
-		sp.SetAttr("source", "inline")
-	}
-	sp.SetAttr("n", g.N())
-	sp.End()
-	return g, canonicalGraphDigest(g), opts, nil, true
-}
-
-// finishQuery funnels every query through the content-addressed cache and
-// the bounded worker pool: hits skip the pool entirely; misses acquire a
-// worker slot (respecting request cancellation while queued), compute,
-// and leave their bytes behind. Identical concurrent misses collapse into
-// one computation (every follower gets the leader's bytes, counted as a
-// hit and marked X-Dsssp-Cache: hit). compute's second return value says
-// whether its bytes may be cached — false for responses that are not pure
-// functions of the key (the incremental-APSP assembly). Returns whether
-// the response was a cache hit and whether it was served at all (ok=false
-// means an error reply already went out).
-//
-// Tracing: the request's span tree gains a cache.lookup span labeled with
-// the outcome (hit / shared / miss); only the flight leader additionally
-// opens queue.wait and exec spans — a singleflight follower's trace shows
-// the wait inside its own cache.lookup and carries no engine work, which
-// is exactly what happened. compute receives the exec span to hang repair
-// and engine children from.
-func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string, compute func(sp *trace.Span) ([]byte, bool, error)) (hit, ok bool) {
+	q.parts = queryKeyParts(kind, qo, detail)
 	root := trace.FromContext(r.Context())
 	cacheSp := root.StartChild("cache.lookup")
-	body, outcome, err := s.cache.getOrCompute(key, func() ([]byte, bool, error) {
+	body, outcome, err := s.cache.getOrCompute(keyFromDigest(q.digest, q.parts), func() ([]byte, bool, error) {
 		qsp := root.StartChild("queue.wait")
 		s.metrics.queueDepth.Inc()
 		queued := time.Now()
@@ -750,8 +442,12 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string,
 			qsp.End()
 			return nil, false, r.Context().Err()
 		}
+		// The miss works on its own copy of the query, so that a hit, which
+		// never reaches here, does not pay for moving q to the heap.
+		mq := q
 		execSp := root.StartChild("exec")
-		b, cacheable, err := compute(execSp)
+		b, cacheable, err := project(&mq, execSp)
+		q.reused, q.recomputed = mq.reused, mq.recomputed
 		if err != nil {
 			execSp.SetError(err.Error())
 		}
@@ -760,11 +456,11 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string,
 	})
 	cacheSp.SetAttr("result", outcome.String())
 	cacheSp.End()
-	hit = outcome != cacheMiss
 	if err != nil {
 		s.replyError(w, err)
-		return false, false
+		return
 	}
+	hit := outcome != cacheMiss
 	w.Header().Set("Content-Type", "application/json")
 	if hit {
 		w.Header().Set("X-Dsssp-Cache", "hit")
@@ -773,40 +469,325 @@ func (s *Server) finishQuery(w http.ResponseWriter, r *http.Request, key string,
 	}
 	w.Write(body)
 	w.Write([]byte("\n"))
-	return hit, true
-}
-
-// graftEnginePhases embeds the simulator's span ledger into the wall-clock
-// trace as children of the engine span: the engine's measured interval is
-// apportioned across the phases by round share (the ledger's clock is
-// rounds, not seconds), so the trace's leaf intervals line up end to end
-// under their parent and the per-phase `rounds` attributes sum exactly to
-// the run's total rounds — the conservation law the span ledger guarantees
-// and the /debug/traces consumers assert.
-func graftEnginePhases(eng *trace.Span, phases []harness.PhaseStat) {
-	if eng == nil || len(phases) == 0 {
+	if q.graphID == "" {
 		return
 	}
-	total := harness.PhaseRounds(phases)
-	d := time.Since(eng.StartTime())
-	cursor := eng.StartTime()
-	for _, ph := range phases {
-		var pd time.Duration
-		if total > 0 {
-			pd = time.Duration(int64(d) * ph.Rounds / total)
+	if hit {
+		q.reused = 1
+		if len(nodes) == 0 {
+			q.reused = q.g.N()
 		}
-		attrs := []trace.Attr{
-			trace.Int64("rounds", ph.Rounds),
-			trace.Int64("messages", ph.Messages),
-			trace.Int64("awake_rounds", ph.AwakeRounds),
-		}
-		if ph.RoundsByDepth != "" {
-			attrs = append(attrs, trace.String("rounds_by_depth", ph.RoundsByDepth))
-		}
-		eng.Graft("phase:"+ph.Phase, cursor, pd, attrs...)
-		cursor = cursor.Add(pd)
 	}
-	eng.SetAttr("rounds", total)
+	s.metrics.incrSourcesReused.Add(int64(q.reused))
+	s.metrics.incrSourcesRecomputed.Add(int64(q.recomputed))
+}
+
+// answer is one source's shortest paths as a miss produced them: the
+// distance row and witness tree, plus the engine's metrics and phases
+// when computed, or the incr block when repaired.
+type answer struct {
+	dsssp.TreeResult
+	phases []harness.PhaseStat
+	incr   *QueryIncrJSON
+}
+
+// answerSource answers a single-source miss: affected-region repair of
+// the source's remembered trace on a registered graph (unless the response
+// must carry phases, which only a simulation produces), else the engine —
+// SSSPTree when the projection walks the tree (its extraction round counts
+// in the metrics), SSSP otherwise. A repaired body carries the incr block
+// and no metrics, so it is not the key's canonical bytes and is not cached.
+//
+// On a registered graph the answer is recorded: the distance row is what
+// the next PATCH classifies the source against, the witness tree what a
+// repair restarts from, and a computed answer's key parts are how a PATCH
+// re-addresses or invalidates its cache entry.
+func (s *Server) answerSource(w http.ResponseWriter, sp *trace.Span, q *query, src graph.NodeID, tree bool) (answer, error) {
+	var a answer
+	var rr *incr.RepairResult
+	if !q.phases {
+		rr = s.tryRepair(sp, q, src)
+	}
+	parts := ""
+	if rr != nil {
+		w.Header().Set("X-Dsssp-Incr", "repaired")
+		a.Dist, a.Parent = rr.Dist, rr.Parent
+		a.incr = &QueryIncrJSON{
+			Served:           "repaired",
+			AffectedVertices: rr.Affected,
+			AffectedFraction: float64(rr.Affected) / float64(q.g.N()),
+		}
+	} else {
+		if q.graphID != "" {
+			w.Header().Set("X-Dsssp-Incr", "recomputed")
+		}
+		var err error
+		a.phases, err = s.runEngine(sp, q, 1, func() ([]simnet.SpanMetrics, error) {
+			if tree {
+				tr, err := dsssp.SSSPTree(q.g, src, q.opts)
+				if err != nil {
+					return nil, err
+				}
+				a.TreeResult = *tr
+			} else {
+				res, err := dsssp.SSSP(q.g, src, q.opts)
+				if err != nil {
+					return nil, err
+				}
+				a.Result = *res
+			}
+			return a.Metrics.Spans, nil
+		})
+		if err != nil {
+			return answer{}, err
+		}
+		parts = q.parts
+	}
+	if q.graphID != "" {
+		if a.Parent == nil {
+			a.Parent = graph.WitnessParents(q.g, src, a.Dist)
+		}
+		s.registry.Record(q.graphID, q.digest, src, a.Dist, a.Parent, parts)
+	}
+	return a, nil
+}
+
+// answerAPSP answers an APSP miss source by source. Per-source SSSP
+// instances are independent, so on a registered graph a row traced at
+// this revision is reused verbatim and a stale one is repaired, each
+// byte-identical to a re-run. The sources still missing run together in
+// one APSPFrom call, because the Composition describes exactly those
+// instances scheduled side by side; it and the Incr split are all that
+// distinguish a partially-reused response from a from-scratch one.
+//
+// On a registered graph every repaired and recomputed row is recorded with
+// its witness tree, so a later PATCH demotes it to a repairable stale
+// trace instead of forgetting it. The whole body is recorded and cached
+// only for a from-scratch run: a body that reused or repaired rows is
+// history-dependent, so it must not become this key's cached bytes.
+func (s *Server) answerAPSP(w http.ResponseWriter, sp *trace.Span, q *query, seed int64) ([]byte, bool, error) {
+	n := q.g.N()
+	resp := APSPResponse{N: n, M: q.g.M(), Dist: make([][]int64, n)}
+	var traced map[graph.NodeID][]int64
+	if q.graphID != "" {
+		traced = s.registry.Rows(q.graphID, q.digest)
+	}
+	rows := make(map[graph.NodeID]incr.Trace)
+	missing := make([]graph.NodeID, 0, n)
+	for v := range graph.NodeID(n) {
+		if row, ok := traced[v]; ok {
+			resp.Dist[v] = row
+		} else if rr := s.tryRepair(sp, q, v); rr != nil {
+			resp.Dist[v] = rr.Dist
+			rows[v] = incr.Trace{Dist: rr.Dist, Parent: rr.Parent}
+		} else {
+			missing = append(missing, v)
+		}
+	}
+	repaired := len(rows)
+	q.reused = n - len(missing) - repaired
+	if len(missing) > 0 {
+		var res *dsssp.APSPResult
+		phases, err := s.runEngine(sp, q, len(missing), func() (spans []simnet.SpanMetrics, err error) {
+			if res, err = dsssp.APSPFrom(q.g, missing, q.opts, seed); err != nil {
+				return nil, err
+			}
+			return res.Composition.Spans, nil
+		})
+		if err != nil {
+			return nil, false, err
+		}
+		for _, src := range missing {
+			resp.Dist[src] = res.Dist[src]
+		}
+		comp := res.Composition
+		resp.Composition = CompositionJSON{
+			Dilation: comp.Dilation, Congestion: comp.Congestion,
+			MakespanAligned: comp.MakespanAligned, MakespanRandom: comp.MakespanRandom,
+			MakespanSequential: comp.MakespanSequential, MaxMessageBits: comp.MaxMessageBits,
+		}
+		if q.phases {
+			resp.Phases = phases
+		}
+	}
+	fresh := q.reused == 0 && repaired == 0
+	if q.graphID != "" {
+		for _, src := range missing {
+			rows[src] = incr.Trace{Dist: resp.Dist[src], Parent: graph.WitnessParents(q.g, src, resp.Dist[src])}
+		}
+		bodyParts := ""
+		if fresh {
+			bodyParts = q.parts
+		}
+		s.registry.RecordRows(q.graphID, q.digest, rows, bodyParts)
+	}
+	if !fresh {
+		resp.Incr = &IncrJSON{SourcesReused: q.reused, SourcesRepaired: repaired, SourcesRecomputed: len(missing)}
+		if repaired > 0 {
+			w.Header().Set("X-Dsssp-Incr", fmt.Sprintf("reused=%d repaired=%d recomputed=%d", q.reused, repaired, len(missing)))
+		} else {
+			w.Header().Set("X-Dsssp-Incr", fmt.Sprintf("reused=%d recomputed=%d", q.reused, len(missing)))
+		}
+	}
+	b, err := json.Marshal(resp)
+	return b, fresh, err
+}
+
+// runEngine is the one place a query runs the simulator: run executes
+// under an engine span and returns its span ledger, whose phases are
+// grafted into the trace, fed to the per-phase histograms, and returned
+// for the response. The run's sources count as recomputed.
+//
+// The graft embeds the ledger as children of the engine span: the
+// engine's measured interval is apportioned across the phases by round
+// share (the ledger's clock is rounds, not seconds), so the trace's leaf
+// intervals line up end to end under their parent and the per-phase
+// `rounds` attributes sum exactly to the run's total rounds — the
+// conservation law the span ledger guarantees and the /debug/traces
+// consumers assert.
+func (s *Server) runEngine(sp *trace.Span, q *query, sources int, run func() ([]simnet.SpanMetrics, error)) ([]harness.PhaseStat, error) {
+	eng := sp.StartChild("engine")
+	eng.SetAttr("sources", sources)
+	spans, err := run()
+	if err != nil {
+		eng.SetError(err.Error())
+		eng.End()
+		return nil, err
+	}
+	phases := harness.PhasesFromSpans(spans)
+	if eng != nil {
+		total := harness.PhaseRounds(phases)
+		d := time.Since(eng.StartTime())
+		cursor := eng.StartTime()
+		for _, ph := range phases {
+			var pd time.Duration
+			if total > 0 {
+				pd = time.Duration(int64(d) * ph.Rounds / total)
+			}
+			attrs := []trace.Attr{
+				trace.Int64("rounds", ph.Rounds),
+				trace.Int64("messages", ph.Messages),
+				trace.Int64("awake_rounds", ph.AwakeRounds),
+			}
+			if ph.RoundsByDepth != "" {
+				attrs = append(attrs, trace.String("rounds_by_depth", ph.RoundsByDepth))
+			}
+			eng.Graft("phase:"+ph.Phase, cursor, pd, attrs...)
+			cursor = cursor.Add(pd)
+		}
+		eng.SetAttr("rounds", total)
+	}
+	eng.End()
+	s.metrics.observePhases(phases, sp.TraceIDString())
+	q.recomputed += sources
+	return phases, nil
+}
+
+// tryRepair attempts affected-region repair for one source of a registered
+// graph: resolve the remembered trace and its net changes, bound the
+// affected region by the configured fraction of n, and run incr.Repair.
+// nil means the caller must fall back to the full computation (no usable
+// trace, repair disabled, or the region outgrew the cutoff). The caller
+// records a repaired trace at the head revision, so the next PATCH
+// classifies it and the next query serves it in O(n).
+//
+// A sampled request gets a repair span under sp, with the four repair
+// phases (carve/seed/settle/witness) grafted as children carrying their
+// measured wall times, and the affected-region sizes as attributes; the
+// same per-phase split feeds dsssp_repair_phase_seconds so repaired
+// queries have a breakdown story like computed ones.
+func (s *Server) tryRepair(sp *trace.Span, q *query, src graph.NodeID) *incr.RepairResult {
+	if q.graphID == "" || s.cfg.RepairMaxAffected < 0 {
+		return nil
+	}
+	tr, changes, ok := s.registry.Repairable(q.graphID, q.digest, src)
+	if !ok {
+		return nil
+	}
+	n := q.g.N()
+	limit := 0
+	if s.cfg.RepairMaxAffected > 0 {
+		limit = max(int(s.cfg.RepairMaxAffected*float64(n)), 1)
+	}
+	rsp := sp.StartChild("repair")
+	rsp.SetAttr("source", int64(src))
+	rsp.SetAttr("changes", len(changes))
+	start := time.Now()
+	rr, ok := incr.Repair(q.g, src, tr, changes, limit)
+	s.metrics.repairSeconds.Observe(time.Since(start).Seconds())
+	if !ok {
+		s.metrics.incrRepairFallbacks.Inc()
+		rsp.SetAttr("outcome", "fallback")
+		rsp.End()
+		return nil
+	}
+	s.metrics.incrSourcesRepaired.Inc()
+	s.metrics.repairAffectedFraction.Observe(float64(rr.Affected) / float64(n))
+	rsp.SetAttr("outcome", "repaired")
+	rsp.SetAttr("affected", rr.Affected)
+	rsp.SetAttr("orphaned", rr.Orphaned)
+	rsp.SetAttr("affected_fraction", float64(rr.Affected)/float64(n))
+	cursor := rsp.StartTime()
+	for i, ns := range rr.PhaseNS {
+		s.metrics.repairPhaseSeconds.With(incr.RepairPhaseNames[i]).Observe(float64(ns) / 1e9)
+		rsp.Graft("repair:"+incr.RepairPhaseNames[i], cursor, time.Duration(ns))
+		cursor = cursor.Add(time.Duration(ns))
+	}
+	rsp.End()
+	return rr
+}
+
+// prepare resolves the graph (inline, generator, or registered handle)
+// and options for a query, replying on error. For registered graphs the
+// handle and revision travel in response headers, not the body: cached
+// bodies are migrated verbatim across revisions on PATCH, so a body-borne
+// revision number would go stale the moment an entry is carried forward.
+// A sampled request gets a graph.resolve span recording where the graph
+// came from (registry / inline / generator) and its size.
+func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec, qo QueryOptions) (query, bool) {
+	sp := trace.FromContext(r.Context()).StartChild("graph.resolve")
+	fail := func(err error) (query, bool) {
+		sp.SetError(err.Error())
+		sp.End()
+		s.replyError(w, err)
+		return query{}, false
+	}
+	opts, err := resolveOptions(qo, s.cfg.Workers, s.cfg.MaxIntraWorkers)
+	if err != nil {
+		return fail(err)
+	}
+	q := query{opts: opts, phases: qo.RecordPhases}
+	if spec.ID != "" {
+		if spec.N != 0 || len(spec.Edges) > 0 || spec.Family != "" || spec.Seed != 0 || spec.Weights != nil {
+			return fail(badf("graph.graph_id is mutually exclusive with inline and generator fields"))
+		}
+		g, digest, rev, err := s.registry.Resolve(spec.ID)
+		if err != nil {
+			return fail(err)
+		}
+		w.Header().Set("X-Dsssp-Graph-Id", spec.ID)
+		w.Header().Set("X-Dsssp-Graph-Revision", strconv.Itoa(rev))
+		sp.SetAttr("source", "registry")
+		sp.SetAttr("graph_id", spec.ID)
+		sp.SetAttr("revision", rev)
+		sp.SetAttr("n", g.N())
+		sp.End()
+		q.g, q.digest, q.graphID = g, digest, spec.ID
+		return q, true
+	}
+	g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
+	if err != nil {
+		return fail(err)
+	}
+	if spec.Family != "" {
+		sp.SetAttr("source", "generator")
+	} else {
+		sp.SetAttr("source", "inline")
+	}
+	sp.SetAttr("n", g.N())
+	sp.End()
+	q.g, q.digest = g, canonicalGraphDigest(g)
+	return q, true
 }
 
 // --- dynamic-graph endpoints ---
@@ -1044,11 +1025,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 }
 
 // replyError maps an error to its status: client mistakes are 400s,
-// algorithm/simulation rejections 422s, cancellations 499 (the de facto
-// client-closed-request code), everything else 500.
+// algorithm rejections of well-formed input (simnet.ComputeError: invalid
+// option combinations the wire validation cannot see, strict-CONGEST
+// budget violations, round-cap overruns) 422s, cancellations 499 (the de
+// facto client-closed-request code), everything else 500.
 func (s *Server) replyError(w http.ResponseWriter, err error) {
 	var br badRequest
 	var nf notFoundErr
+	var ce *simnet.ComputeError
 	switch {
 	case errors.As(err, &nf):
 		writeError(w, http.StatusNotFound, "%v", err)
@@ -1056,23 +1040,9 @@ func (s *Server) replyError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		writeError(w, 499, "request cancelled: %v", err)
-	case isComputeError(err):
+	case errors.As(err, &ce):
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 	default:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-}
-
-// isComputeError recognizes algorithm-level rejections (invalid option
-// combinations the wire validation cannot see, strict-CONGEST budget
-// violations, round-cap overruns) — requests that were well-formed but
-// unprocessable, as opposed to infrastructure failures.
-func isComputeError(err error) bool {
-	msg := err.Error()
-	for _, prefix := range []string{"dsssp:", "simnet:", "core:", "proto:", "sched:"} {
-		if strings.HasPrefix(msg, prefix) {
-			return true
-		}
-	}
-	return false
 }

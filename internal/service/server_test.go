@@ -66,6 +66,8 @@ func wantErrorJSON(t *testing.T, w *httptest.ResponseRecorder, status int, subst
 
 func TestBadInputsAre4xxJSON(t *testing.T) {
 	s := testServer(t)
+	var info GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
 	cases := []struct {
 		name, method, path, body string
 		status                   int
@@ -88,6 +90,11 @@ func TestBadInputsAre4xxJSON(t *testing.T) {
 		{"bad-eps", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"eps_num":3,"eps_den":2}}`, 400, "ε must be in (0,1)"},
 		{"path-target-range", "POST", "/v1/path", `{"graph":{"family":"path","n":8},"target":-1}`, 400, "target -1 out of range"},
 		{"strict-sleeping", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"sleeping","strict_congest":true}}`, 422, "StrictCongest"},
+		{"max-rounds", "POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"max_rounds":3}}`, 422, "simnet: exceeded MaxRounds=3"},
+		{"apsp-max-rounds", "POST", "/v1/apsp", `{"graph":{"family":"path","n":8},"options":{"max_rounds":3}}`, 422, "exceeded MaxRounds=3"},
+		{"edge-weight-overflow", "POST", "/v1/sssp", `{"graph":{"n":3,"edges":[[0,1,2305843009213693952],[1,2,2305843009213693952]]}}`, 400, "edge 0: weight 2305843009213693952 exceeds 2305843009213693951"},
+		{"max-w-overflow", "POST", "/v1/sssp", `{"graph":{"family":"random","n":8,"weights":{"kind":"uniform","max_w":1000000000000000000}}}`, 400, "max_w 1000000000000000000 exceeds"},
+		{"patch-weight-overflow", "PATCH", "/v1/graphs/" + info.ID + "/edges", `{"deltas":[{"op":"reweight","u":0,"v":2,"w":2305843009213693952}]}`, 400, "delta 0: weight 2305843009213693952 exceeds"},
 		{"sweep-bad-pattern", "POST", "/v1/sweeps", `{"patterns":["no-such-scenario*"],"quick":true}`, 400, "matches no scenario"},
 		{"sweep-unknown-job", "GET", "/v1/sweeps/sweep-9999", "", 404, "no sweep job"},
 		{"trends-empty-history", "GET", "/v1/trends", "", 404, "at least 2 stored reports"},

@@ -487,7 +487,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 		}
 		cur = r
 		if cur > e.cfg.MaxRounds {
-			return nil, fmt.Errorf("simnet: exceeded MaxRounds=%d", e.cfg.MaxRounds)
+			return nil, Computef("simnet: exceeded MaxRounds=%d", e.cfg.MaxRounds)
 		}
 		batch = batch[:0]
 		for _, bw := range q.take(cur) {
@@ -582,7 +582,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 						e.spans[om.span].MaxMessageBits = b
 					}
 					if e.cfg.MaxMessageBits > 0 && b > e.cfg.MaxMessageBits {
-						return nil, fmt.Errorf(
+						return nil, Computef(
 							"simnet: strict CONGEST violation: node %d sent a %d-bit message (%T) over edge %d in round %d, exceeding the %d-bit budget",
 							id, b, om.msg, h.ID, cur, e.cfg.MaxMessageBits)
 					}
@@ -601,7 +601,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 					maxLoad = dirLoad[di]
 				}
 				if e.cfg.StrictCongest && dirLoad[di] > 1 {
-					return nil, fmt.Errorf("simnet: strict CONGEST violation on edge %d (round %d)", h.ID, cur)
+					return nil, Computef("simnet: strict CONGEST violation on edge %d (round %d)", h.ID, cur)
 				}
 				if e.cfg.RecordTrace {
 					res.Trace = append(res.Trace, TraceEntry{cur, h.ID, byte(dirBit)})
@@ -664,3 +664,18 @@ type killSentinel struct{}
 func (killSentinel) Error() string { return "simnet: engine shut down" }
 
 var errKilled error = killSentinel{}
+
+// ComputeError reports well-formed input that a run cannot process: the
+// round cap overrun, a strict-CONGEST budget violation, or an option
+// combination the algorithm rejects. The algorithm layers above simnet
+// (core, sched, the dsssp API) return the same type, so callers classify
+// every such rejection with one errors.As (the serving layer answers it
+// with 422).
+type ComputeError struct{ msg string }
+
+func (e *ComputeError) Error() string { return e.msg }
+
+// Computef formats a ComputeError.
+func Computef(format string, args ...any) error {
+	return &ComputeError{msg: fmt.Sprintf(format, args...)}
+}
