@@ -1,15 +1,15 @@
 // Command dsssp-serve is the long-running serving daemon over the dsssp
 // stack: an HTTP API answering SSSP/APSP/path queries from a bounded
-// worker pool behind a content-addressed result cache, running scenario
-// sweeps as cancellable async jobs whose reports accumulate in an
-// append-only history directory, and serving history-aware bench trends
-// chained through the same machinery as cmd/dsssp-diff.
+// worker pool behind a content-addressed result cache, plus registered
+// graphs that can be patched edge by edge. Scenario sweeps and their
+// envelope-ratio history are offline jobs: cmd/dsssp-bench writes the
+// reports and cmd/dsssp-diff gates and chains them.
 //
 // Usage:
 //
-//	dsssp-serve                             # serve on :8080, history in ./dsssp-history
-//	dsssp-serve -addr :9000 -history /var/lib/dsssp -cache-bytes 268435456
-//	dsssp-serve -rev $(git rev-parse --short HEAD)   # label stored reports
+//	dsssp-serve                             # serve on :8080
+//	dsssp-serve -addr :9000 -cache-bytes 268435456
+//	dsssp-serve -rev $(git rev-parse --short HEAD)   # revision shown in /v1/stats
 //	dsssp-serve -debug-addr 127.0.0.1:6060           # pprof + metrics debug listener
 //	dsssp-serve -load http://localhost:8080          # hammer a running server
 //
@@ -18,11 +18,7 @@
 //	POST   /v1/sssp        exact SSSP (graph inline or by generator spec; ?trace=1 for phases)
 //	POST   /v1/apsp        all-pairs via the Section 1.1 composition (?trace=1 for phases)
 //	POST   /v1/path        distance + one shortest path source→target
-//	POST   /v1/sweeps      submit an async scenario sweep → job ID
-//	GET    /v1/sweeps      list jobs; GET /v1/sweeps/{id} live progress
-//	DELETE /v1/sweeps/{id} cancel a job
-//	GET    /v1/trends      envelope-ratio time series over stored reports
-//	GET    /v1/stats       cache/pool/jobs/store snapshot
+//	GET    /v1/stats       cache/registry/incr/pool snapshot
 //	GET    /metrics        Prometheus text exposition
 //	GET    /healthz        liveness
 //
@@ -36,9 +32,13 @@
 // per-request completion log line (structured slog JSON on stderr), and a
 // W3C traceparent is echoed/minted so client traces link to server spans.
 //
+// Both listeners bound how long a client may take to send headers and how
+// long an idle keep-alive connection is held. There is no read or write
+// deadline: a computed query may legitimately run for minutes.
+//
 // The process shuts down cleanly on SIGINT/SIGTERM: the listener drains,
-// running sweep jobs are cancelled (partial sweeps are not stored), and
-// the exit status is 0 — which is what the CI smoke job asserts.
+// the registry is flushed, and the exit status is 0 — which is what the
+// CI smoke job asserts.
 package main
 
 import (
@@ -60,18 +60,22 @@ import (
 	"dsssp/internal/service"
 )
 
+// Listener timeouts, shared by the API and debug listeners.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		history     = flag.String("history", "dsssp-history", "append-only bench history directory")
 		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "result cache byte budget")
 		graphBytes  = flag.Int64("graph-bytes", 256<<20, "dynamic-graph registry byte budget (registered graphs + per-source traces)")
 		registryDir = flag.String("registry-dir", "", "spill registered graphs and their traces to this directory and warm-start from it on boot (empty = in-memory only)")
 		repairMax   = flag.Float64("repair-max-affected", 0.5, "repair a dirty source only while the affected region stays under this fraction of the graph (0 = no cutoff, negative = disable repair)")
 		workers     = flag.Int("workers", 0, "query worker pool size (0 = NumCPU)")
 		intraCap    = flag.Int("max-intra", 0, "cap on a query's intra-round simulation workers (0 = NumCPU, 1 = force sequential; results are byte-identical either way)")
-		sweeps      = flag.Int("max-sweeps", 1, "sweep jobs allowed to run concurrently")
-		rev         = flag.String("rev", "", "git revision label for stored reports (default: git rev-parse --short HEAD, else \"unknown\")")
+		rev         = flag.String("rev", "", "git revision reported by /v1/stats (default: git rev-parse --short HEAD, else \"unknown\")")
 		maxN        = flag.Int("max-n", 4096, "largest accepted graph size")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof, /metrics, and /debug/traces on this private address (empty = disabled)")
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of requests recorded into the trace flight recorder (1 = all, 0 = none; unsampled requests pay no tracing cost)")
@@ -119,21 +123,19 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	srv, err := service.New(service.Config{
-		HistoryDir:          *history,
-		CacheBytes:          *cacheBytes,
-		GraphBytes:          *graphBytes,
-		RegistryDir:         *registryDir,
-		RepairMaxAffected:   *repairMax,
-		Workers:             *workers,
-		MaxIntraWorkers:     *intraCap,
-		MaxConcurrentSweeps: *sweeps,
-		Rev:                 *rev,
-		MaxN:                *maxN,
-		Logger:              logger,
-		SlowQueryThreshold:  *slowQuery,
-		TraceSampleRate:     resolveSampleRate(*traceSample),
-		TraceRecent:         *traceRecent,
-		TraceRetained:       *traceKept,
+		CacheBytes:         *cacheBytes,
+		GraphBytes:         *graphBytes,
+		RegistryDir:        *registryDir,
+		RepairMaxAffected:  *repairMax,
+		Workers:            *workers,
+		MaxIntraWorkers:    *intraCap,
+		Rev:                *rev,
+		MaxN:               *maxN,
+		Logger:             logger,
+		SlowQueryThreshold: *slowQuery,
+		TraceSampleRate:    resolveSampleRate(*traceSample),
+		TraceRecent:        *traceRecent,
+		TraceRetained:      *traceKept,
 	})
 	if err != nil {
 		die(err)
@@ -152,18 +154,19 @@ func main() {
 		dmux.Handle("/metrics", srv.Metrics().Handler())
 		dmux.Handle("/debug/traces", srv.TraceHandler())
 		dmux.Handle("/debug/traces/", srv.TraceHandler())
+		debugSrv := newHTTPServer(*debugAddr, dmux)
 		go func() {
 			logger.Info("debug listener up", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
+			if err := debugSrv.ListenAndServe(); err != nil {
 				logger.Error("debug listener failed", "addr", *debugAddr, "error", err.Error())
 			}
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", *addr, "history", srv.Store().Dir(), "rev", *rev)
+		logger.Info("listening", "addr", *addr, "rev", *rev)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -174,7 +177,7 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting, drain in-flight requests (bounded),
-	// then cancel sweep jobs and wait for their goroutines.
+	// then flush the registry.
 	logger.Info("signal received, shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -183,6 +186,17 @@ func main() {
 	}
 	srv.Close()
 	logger.Info("clean shutdown")
+}
+
+// newHTTPServer builds a listener with the shared header and idle
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // runLoad drives the service-load workload and prints the JSON report.
@@ -232,7 +246,7 @@ func resolveSampleRate(rate float64) float64 {
 }
 
 // gitRev best-effort resolves the working tree's short revision for
-// labeling stored reports; services deployed from tarballs pass -rev.
+// /v1/stats; services deployed from tarballs pass -rev.
 func gitRev() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {

@@ -407,8 +407,8 @@ func maxWeight(n int) int64 { return (graph.Inf - 1) / int64(max(n-1, 1)) }
 // seed default 0) draw the same weight stream. A spec therefore names
 // exactly one reproducible graph in the service's namespace. (Harness
 // scenarios additionally fold the scenario *name* into their seeds, so a
-// spec does not reproduce a named scenario's graph — replay those through
-// /v1/sweeps instead.)
+// spec does not reproduce a named scenario's graph — replay those with
+// dsssp-bench -scenarios instead.)
 //
 // The derivation is part of the wire contract and pinned by
 // TestWeightSeedContract: changing it silently repoints every cached

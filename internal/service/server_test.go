@@ -19,7 +19,7 @@ import (
 
 func testServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := New(Config{HistoryDir: t.TempDir(), Workers: 4, SweepParallel: 2, Rev: "test"})
+	s, err := New(Config{Workers: 4, Rev: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +95,6 @@ func TestBadInputsAre4xxJSON(t *testing.T) {
 		{"edge-weight-overflow", "POST", "/v1/sssp", `{"graph":{"n":3,"edges":[[0,1,2305843009213693952],[1,2,2305843009213693952]]}}`, 400, "edge 0: weight 2305843009213693952 exceeds 2305843009213693951"},
 		{"max-w-overflow", "POST", "/v1/sssp", `{"graph":{"family":"random","n":8,"weights":{"kind":"uniform","max_w":1000000000000000000}}}`, 400, "max_w 1000000000000000000 exceeds"},
 		{"patch-weight-overflow", "PATCH", "/v1/graphs/" + info.ID + "/edges", `{"deltas":[{"op":"reweight","u":0,"v":2,"w":2305843009213693952}]}`, 400, "delta 0: weight 2305843009213693952 exceeds"},
-		{"sweep-bad-pattern", "POST", "/v1/sweeps", `{"patterns":["no-such-scenario*"],"quick":true}`, 400, "matches no scenario"},
-		{"sweep-unknown-job", "GET", "/v1/sweeps/sweep-9999", "", 404, "no sweep job"},
-		{"trends-empty-history", "GET", "/v1/trends", "", 404, "at least 2 stored reports"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,15 +256,9 @@ func TestStatsAndHealthz(t *testing.T) {
 	if st.Rev != "test" || st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// The snapshot is full-stack: pool and store sections, not cache-only.
+	// The snapshot is full-stack: a pool section, not cache-only.
 	if st.Pool.Workers != 4 || st.Pool.InFlight != 0 || st.Pool.Queued != 0 {
 		t.Fatalf("pool stats = %+v", st.Pool)
-	}
-	if st.Store.Reports != 0 || st.Store.Appends != 0 {
-		t.Fatalf("store stats = %+v", st.Store)
-	}
-	if st.Jobs == nil {
-		t.Fatal("stats lacks the jobs-by-state section")
 	}
 }
 
@@ -422,7 +413,7 @@ func TestRequestLogging(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	s, err := New(Config{
-		HistoryDir: t.TempDir(), Workers: 2, Rev: "test",
+		Workers: 2, Rev: "test",
 		Logger: logger, SlowQueryThreshold: time.Nanosecond,
 	})
 	if err != nil {
@@ -492,7 +483,8 @@ func (b *syncBuffer) String() string {
 
 // TestMuxErrorsAreJSON asserts the mux-generated replies (wrong method,
 // unknown route) are converted into the same JSON error shape as handler
-// errors — every non-2xx body is machine-readable.
+// errors — every non-2xx body is machine-readable. /v1/sweeps and
+// /v1/trends are unknown routes: sweeps and trends are offline tools.
 func TestMuxErrorsAreJSON(t *testing.T) {
 	s := testServer(t)
 	w := do(t, s, "GET", "/v1/sssp", "")
@@ -502,11 +494,17 @@ func TestMuxErrorsAreJSON(t *testing.T) {
 	if e.Code != "method_not_allowed" {
 		t.Fatalf("code = %q", e.Code)
 	}
-	w = do(t, s, "GET", "/no/such/route", "")
-	wantErrorJSON(t, w, http.StatusNotFound, "Not Found")
-	json.Unmarshal(w.Body.Bytes(), &e)
-	if e.Code != "not_found" {
-		t.Fatalf("code = %q", e.Code)
+	for _, tc := range []struct{ method, path, body string }{
+		{"GET", "/no/such/route", ""},
+		{"POST", "/v1/sweeps", `{"quick":true}`},
+		{"GET", "/v1/trends", ""},
+	} {
+		w = do(t, s, tc.method, tc.path, tc.body)
+		wantErrorJSON(t, w, http.StatusNotFound, "Not Found")
+		json.Unmarshal(w.Body.Bytes(), &e)
+		if e.Code != "not_found" {
+			t.Fatalf("%s %s: code = %q", tc.method, tc.path, e.Code)
+		}
 	}
 }
 
@@ -517,7 +515,7 @@ func TestErrorCodes(t *testing.T) {
 		method, path, body, code string
 	}{
 		{"POST", "/v1/sssp", `{"graph": nope}`, "bad_request"},
-		{"GET", "/v1/sweeps/sweep-9999", "", "not_found"},
+		{"GET", "/v1/graphs/g-00000000", "", "not_found"},
 		{"POST", "/v1/sssp", `{"graph":{"family":"path","n":8},"options":{"model":"sleeping","strict_congest":true}}`, "unprocessable"},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package dsssp
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,6 +79,17 @@ func TestRunScenariosLibraryEntry(t *testing.T) {
 	}
 	if _, err := RunScenarios(context.Background(), []string{"typo*pattern"}, true, 1); err == nil {
 		t.Fatal("bogus pattern accepted")
+	}
+	// A cancelled context yields the descriptive cancel error, and the
+	// partial report carries the skipped scenarios as failures.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err = RunScenarios(ctx, []string{"congest-bellman-ford/*"}, true, 2)
+	if !errors.As(err, new(*SweepCancelError)) {
+		t.Fatalf("cancelled sweep returned %v, want a *SweepCancelError", err)
+	}
+	if rep.Failures == 0 {
+		t.Fatalf("cancelled sweep reads as a success: %+v", rep)
 	}
 }
 
