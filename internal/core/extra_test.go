@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -55,6 +57,36 @@ func TestCSSPDeterministic(t *testing.T) {
 	}
 	if m1.Messages != m2.Messages || m1.Rounds != m2.Rounds {
 		t.Fatalf("metrics differ: %s vs %s", m1.String(), m2.String())
+	}
+}
+
+// TestCSSPTracedDeterministic: a traced run is a pure function of its
+// inputs — distances, metrics, and the per-message trace (send order within
+// a round included) repeat exactly across runs and worker counts.
+func TestCSSPTracedDeterministic(t *testing.T) {
+	g := graph.RandomConnected(64, 128, graph.UniformWeights(64, 3), 3)
+	src := map[graph.NodeID]int64{0: 0}
+	d0, _, m0, tr0, err := RunCSSPTraced(g, src, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(tr0)) != m0.Messages {
+		t.Fatalf("trace has %d entries for %d messages", len(tr0), m0.Messages)
+	}
+	for _, w := range []int{1, 4} {
+		d, _, m, tr, err := RunCSSPTraced(g, src, Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(d, d0) {
+			t.Fatalf("workers=%d: distances differ", w)
+		}
+		if !reflect.DeepEqual(m, m0) {
+			t.Fatalf("workers=%d: metrics differ: %s vs %s", w, m.String(), m0.String())
+		}
+		if !slices.Equal(tr, tr0) {
+			t.Fatalf("workers=%d: traces differ (%d vs %d entries)", w, len(tr), len(tr0))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"slices"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -58,17 +59,41 @@ func TestForestSizeBoundSlack(t *testing.T) {
 	}
 }
 
-// Determinism across runs.
+// Determinism across runs: the trees and the engine trace — the order of
+// every node's sends within a round included — must repeat exactly.
 func TestForestDeterministic(t *testing.T) {
 	g := graph.RandomConnected(48, 64, graph.UnitWeights, 5)
-	a, ma := runForest(t, g, simnet.Congest)
-	b, mb := runForest(t, g, simnet.Congest)
+	run := func() ([]Result, *simnet.Result) {
+		eng := simnet.New(g, simnet.Config{Model: simnet.Congest, RecordTrace: true})
+		res, err := eng.Run(func(c *simnet.Ctx) {
+			c.SetOutput(Build(proto.NewMailbox(c), Params{Tag: 1, StartRound: 0, SizeBound: int64(c.N())}))
+		})
+		if err != nil {
+			t.Fatalf("forest run failed: %v", err)
+		}
+		rs := make([]Result, g.N())
+		for i, v := range res.Outputs {
+			rs[i] = v.(Result)
+		}
+		return rs, res
+	}
+	a, ra := run()
+	b, rb := run()
+	verifyForest(t, g, a)
 	for v := range a {
-		if a[v].CompID != b[v].CompID || a[v].Tree.Depth != b[v].Tree.Depth {
-			t.Fatalf("node %d differs across runs", v)
+		ta, tb := a[v].Tree, b[v].Tree
+		if a[v].CompID != b[v].CompID || ta.Depth != tb.Depth || ta.Parent != tb.Parent ||
+			!slices.Equal(ta.Children, tb.Children) {
+			t.Fatalf("node %d differs across runs: %+v vs %+v", v, a[v], b[v])
 		}
 	}
-	if ma.Messages != mb.Messages {
-		t.Fatalf("message counts differ: %d vs %d", ma.Messages, mb.Messages)
+	if ra.Metrics.Messages != rb.Metrics.Messages {
+		t.Fatalf("message counts differ: %d vs %d", ra.Metrics.Messages, rb.Metrics.Messages)
+	}
+	if int64(len(ra.Trace)) != ra.Metrics.Messages {
+		t.Fatalf("trace has %d entries for %d messages", len(ra.Trace), ra.Metrics.Messages)
+	}
+	if !slices.Equal(ra.Trace, rb.Trace) {
+		t.Fatal("engine traces differ across runs")
 	}
 }

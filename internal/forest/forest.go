@@ -38,7 +38,6 @@ package forest
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"dsssp/internal/graph"
 	"dsssp/internal/proto"
@@ -155,13 +154,19 @@ type node struct {
 	compID   graph.NodeID
 	color    int64
 	hasOut   bool
-	parent   int // nbIndex or -1
-	children map[int]bool
+	parent   int    // nbIndex or -1
+	children []bool // per edge: it leads to a tree child
 	depth    int64
+
+	// t caches tree(); stale marks it for a rebuild after the parent,
+	// children, depth, or component changes.
+	t     proto.Tree
+	stale bool
 
 	nbComp     []graph.NodeID // per edge, neighbor's component this phase
 	chosenEdge int            // my adjacency index of my component's chosen edge, or -1
-	incoming   map[int]bool   // edges on which a chooser registered this phase
+	incoming   []bool         // per edge: a chooser registered on it this phase
+	nIncoming  int            // number of true entries in incoming
 
 	// adopt bookkeeping (per sub-step)
 	pathChild int
@@ -171,13 +176,19 @@ type node struct {
 
 func (f *node) tag(off int) uint64 { return f.p.Tag + uint64(off) }
 
+// tree returns this node's view of its component tree, children in
+// adjacency order (so every loop over them sends in a fixed order).
 func (f *node) tree() proto.Tree {
-	t := proto.Tree{InTree: true, Root: f.compID, Parent: f.parent, Depth: f.depth}
-	for ch := range f.children {
-		t.Children = append(t.Children, ch)
+	if f.stale {
+		f.t = proto.Tree{InTree: true, Root: f.compID, Parent: f.parent, Depth: f.depth}
+		for ch, ok := range f.children {
+			if ok {
+				f.t.Children = append(f.t.Children, ch)
+			}
+		}
+		f.stale = false
 	}
-	sort.Ints(t.Children)
-	return t
+	return f.t
 }
 
 // Build runs the construction. Only participants call it; each returns its
@@ -194,7 +205,7 @@ func Build(mb *proto.Mailbox, p Params) Result {
 		compID:     mb.C.ID(),
 		color:      int64(mb.C.ID()),
 		parent:     -1,
-		children:   make(map[int]bool),
+		stale:      true,
 		chosenEdge: -1,
 	}
 	f.eligible = make([]bool, f.deg)
@@ -202,6 +213,8 @@ func Build(mb *proto.Mailbox, p Params) Result {
 		f.eligible[i] = p.Eligible == nil || p.Eligible(i)
 	}
 	f.nbComp = make([]graph.NodeID, f.deg)
+	f.children = make([]bool, f.deg)
+	f.incoming = make([]bool, f.deg)
 
 	phases := Phases(f.s)
 	for ph := int64(0); ph < phases; ph++ {
@@ -286,14 +299,16 @@ func (f *node) phase(r0 int64) {
 
 	// (3) Choice notification.
 	a3 := r0 + 2*s + 6
-	f.incoming = make(map[int]bool)
+	clear(f.incoming)
+	f.nIncoming = 0
 	mb.AdvanceTo(a3)
 	if f.chosenEdge >= 0 {
 		mb.Send(f.chosenEdge, f.tag(tagChosen), struct{}{})
 	}
 	mb.SleepUntil(a3 + 1)
 	for _, m := range mb.Take(f.tag(tagChosen)) {
-		f.incoming[m.NbIndex] = true
+		f.incoming[m.NbIndex] = true // one notification per edge at most
+		f.nIncoming++
 	}
 
 	// (4) Cole–Vishkin coloring of the chooser pseudo-forest.
@@ -318,10 +333,12 @@ func (f *node) phase(r0 int64) {
 func (f *node) cvIter(b int64) {
 	mb := f.mb
 	s := f.s
-	if len(f.incoming) > 0 || f.chosenEdge >= 0 {
+	if f.nIncoming > 0 || f.chosenEdge >= 0 {
 		mb.AdvanceTo(b)
-		for e := range f.incoming {
-			mb.Send(e, f.tag(tagColor), f.color)
+		for e, in := range f.incoming {
+			if in {
+				mb.Send(e, f.tag(tagColor), f.color)
+			}
 		}
 		mb.SleepUntil(b + 1)
 	}
@@ -378,7 +395,7 @@ func (f *node) subStep(c, sc int64) {
 	attempting := f.hasOut && f.color == c
 	chooserNow := attempting && f.chosenEdge >= 0
 
-	if chooserNow || len(f.incoming) > 0 {
+	if chooserNow || f.nIncoming > 0 {
 		mb.AdvanceTo(sc)
 		if chooserNow {
 			mb.Send(f.chosenEdge, f.tag(tagReq), f.compID)
@@ -395,6 +412,7 @@ func (f *node) subStep(c, sc int64) {
 					Verdict: ackOK, Comp: f.compID, Color: f.color, HasOut: f.hasOut, Depth: f.depth,
 				})
 				f.children[m.NbIndex] = true
+				f.stale = true
 			}
 		}
 	}
@@ -408,7 +426,7 @@ func (f *node) subStep(c, sc int64) {
 	f.pathHops = 0
 	upStart := sc + 2
 	sendRound := upStart + s - f.depth
-	if len(f.children) > 0 {
+	if len(f.tree().Children) > 0 {
 		mb.AdvanceTo(sendRound - 1)
 		mb.SleepUntil(sendRound)
 	} else {
@@ -457,7 +475,7 @@ func (f *node) subStep(c, sc int64) {
 		}
 	}
 	if body.Noop {
-		for ch := range f.children {
+		for _, ch := range f.tree().Children {
 			mb.Send(ch, f.tag(tagAdoptDown), body)
 		}
 		return
@@ -471,7 +489,7 @@ func (f *node) subStep(c, sc int64) {
 	}
 	fwd := body
 	fwd.ParentDepth = newDepth
-	for ch := range f.children {
+	for _, ch := range f.tree().Children {
 		mb.Send(ch, f.tag(tagAdoptDown), fwd)
 	}
 	// Apply the move: flip the path, adopt identity.
@@ -484,7 +502,7 @@ func (f *node) subStep(c, sc int64) {
 		}
 	case f.pathChild >= 0:
 		f.parent = f.pathChild
-		delete(f.children, f.pathChild)
+		f.children[f.pathChild] = false
 		if oldParent >= 0 {
 			f.children[oldParent] = true
 		}
@@ -494,4 +512,5 @@ func (f *node) subStep(c, sc int64) {
 	f.hasOut = body.Adopt.HasOut
 	f.depth = newDepth
 	f.chosenEdge = -1
+	f.stale = true
 }

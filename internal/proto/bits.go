@@ -12,18 +12,16 @@ import (
 // (plugged into simnet.Config.MessageBits) and the calibrated budget
 // derived from the graph (simnet.Config.MaxMessageBits).
 
-// MessageBits estimates the wire size of a message in bits. Envelopes are
-// sized as tag + body; everything else is sized by information content:
-// integers cost a sign bit plus the bits of their magnitude, booleans one
-// bit, structs the sum of their fields, and variable-length containers
-// (slices, maps, strings) a length header plus their elements — so a
-// payload smuggling a Θ(n)-sized slice is charged Θ(n) bits and trips the
-// strict budget instead of hiding inside "one message".
-func MessageBits(msg any) int64 {
-	if env, ok := msg.(Envelope); ok {
-		return uintBits(env.Tag) + valueBits(reflect.ValueOf(env.Body))
-	}
-	return valueBits(reflect.ValueOf(msg))
+// MessageBits estimates the wire size of a message in bits: its tag plus
+// its body, with the body sized by information content. Integers cost a
+// sign bit plus the bits of their magnitude, booleans one bit, structs the
+// sum of their fields, and variable-length containers (slices, maps,
+// strings) a length header plus their elements — so a payload smuggling a
+// Θ(n)-sized slice is charged Θ(n) bits and trips the strict budget instead
+// of hiding inside "one message". The signature matches
+// simnet.Config.MessageBits.
+func MessageBits(tag uint64, body any) int64 {
+	return uintBits(tag) + valueBits(reflect.ValueOf(body))
 }
 
 // lenHeader is the charge for a variable-length container's length field.

@@ -9,9 +9,10 @@ import (
 )
 
 func TestMessageBitsSizing(t *testing.T) {
+	// Bodies sent with tag 0, whose wire cost is one bit.
 	cases := []struct {
 		name string
-		msg  any
+		body any
 		want int64
 	}{
 		{"bool", true, 1},
@@ -21,20 +22,23 @@ func TestMessageBitsSizing(t *testing.T) {
 		{"uint", uint64(1024), 11},   // Len64(1024)
 		{"struct", struct{ A, B int64 }{3, 4}, (1 + 2) + (1 + 3)},
 		{"empty struct", struct{}{}, 0},
-		{"envelope", Envelope{Tag: 7, Body: int64(1)}, 3 + 2}, // Len64(7) + (sign+1)
-		{"nil body", Envelope{Tag: 1, Body: nil}, 1 + 1},
+		{"nil body", nil, 1},
 		{"slice charges elements", []int64{1, 1, 1, 1}, 8 + 4*2},
 		{"string", "ab", 8 + 16},
 	}
 	for _, c := range cases {
-		if got := MessageBits(c.msg); got != c.want {
-			t.Errorf("%s: MessageBits(%v) = %d, want %d", c.name, c.msg, got, c.want)
+		if got := MessageBits(0, c.body); got != 1+c.want {
+			t.Errorf("%s: MessageBits(0, %v) = %d, want %d", c.name, c.body, got, 1+c.want)
 		}
+	}
+	// The tag is charged by its magnitude.
+	if got := MessageBits(7, int64(1)); got != 3+2 { // Len64(7) + (sign+1)
+		t.Errorf("MessageBits(7, 1) = %d, want 5", got)
 	}
 	// A Θ(n) payload must be charged Θ(n) bits — no smuggling a vector
 	// inside "one message".
 	big := make([]int64, 1000)
-	if got := MessageBits(big); got < 1000 {
+	if got := MessageBits(1, big); got < 1000 {
 		t.Errorf("1000-element slice sized at only %d bits", got)
 	}
 }
@@ -63,7 +67,7 @@ func TestStrictBudgetEnforced(t *testing.T) {
 	eng := simnet.New(g, simnet.Config{Model: simnet.Congest, MessageBits: MessageBits, MaxMessageBits: 64})
 	res, err := eng.Run(func(c *simnet.Ctx) {
 		if c.ID() == 0 {
-			c.Send(0, Envelope{Tag: 1, Body: int64(42)})
+			c.SendTag(0, 1, int64(42))
 		}
 		c.Next()
 	})
@@ -78,14 +82,15 @@ func TestStrictBudgetEnforced(t *testing.T) {
 	eng = simnet.New(g, simnet.Config{Model: simnet.Congest, MessageBits: MessageBits, MaxMessageBits: 64})
 	_, err = eng.Run(func(c *simnet.Ctx) {
 		if c.ID() == 0 {
-			c.Send(0, Envelope{Tag: 1, Body: make([]int64, 64)})
+			c.SendTag(0, 1, make([]int64, 64))
 		}
 		c.Next()
 	})
 	if err == nil {
 		t.Fatal("oversized message accepted")
 	}
-	if !strings.Contains(err.Error(), "strict CONGEST violation") || !strings.Contains(err.Error(), "64-bit budget") {
+	if !strings.Contains(err.Error(), "strict CONGEST violation") || !strings.Contains(err.Error(), "64-bit budget") ||
+		!strings.Contains(err.Error(), "([]int64)") {
 		t.Errorf("violation not descriptive: %v", err)
 	}
 
@@ -93,7 +98,7 @@ func TestStrictBudgetEnforced(t *testing.T) {
 	eng = simnet.New(g, simnet.Config{Model: simnet.Congest, MessageBits: MessageBits})
 	res, err = eng.Run(func(c *simnet.Ctx) {
 		if c.ID() == 0 {
-			c.Send(0, Envelope{Tag: 1, Body: make([]int64, 64)})
+			c.SendTag(0, 1, make([]int64, 64))
 		}
 		c.Next()
 	})

@@ -11,6 +11,20 @@
 //     node) for the sleeping model (Section 3.1.1 of the paper).
 //   - Barriers: the paper's "all of C done → root picks a start round
 //     Θ(|C|) in the future → broadcast" synchronization step.
+//
+// # Mailbox buffers
+//
+// The tag is part of simnet's wire struct (Ctx.SendTag, Inbound.Tag), so a
+// mailbox send passes the body through untouched; there is no envelope to
+// box. Arrivals are buffered in a small slice of per-tag slots, each
+// double-buffered the way simnet's inbox is: Take hands out the filled
+// buffer and keeps the other one as the next fill buffer, and the slot of
+// a drained tag is reused by the next tag that arrives. Steady-state
+// delivery therefore allocates nothing. The ownership rule is simnet's
+// (see simnet.Ctx.Next): a slice returned by Take, WaitTag or
+// WaitTagCount is valid until the node's next receive call (Next,
+// SleepUntil, SleepUntilAtLeast, AdvanceTo, WaitTag, WaitTagCount, or
+// Pump); Takes of other tags in the same wake leave it intact.
 package proto
 
 import (
@@ -19,12 +33,6 @@ import (
 	"dsssp/internal/graph"
 	"dsssp/internal/simnet"
 )
-
-// Envelope is the wire format of every message sent through a Mailbox.
-type Envelope struct {
-	Tag  uint64
-	Body any
-}
 
 // Msg is a received, tag-matched message.
 type Msg struct {
@@ -38,35 +46,65 @@ type Msg struct {
 type Mailbox struct {
 	C *simnet.Ctx
 
-	byTag map[uint64][]Msg
+	// slots holds the per-tag buffers; a slot with an empty buf is free.
+	// Programs keep only a few tags in flight at once, so a linear scan
+	// beats a map and keeps the buffers reusable.
+	slots []slot
+}
+
+// slot buffers the arrivals of one tag. buf is the fill buffer; spare is
+// the slice the last Take handed out, which becomes the fill buffer at the
+// next Take (by then a receive call has expired it).
+type slot struct {
+	tag   uint64
+	buf   []Msg
+	spare []Msg
 }
 
 // NewMailbox creates a mailbox over ctx.
 func NewMailbox(ctx *simnet.Ctx) *Mailbox {
-	return &Mailbox{C: ctx, byTag: make(map[uint64][]Msg)}
+	return &Mailbox{C: ctx}
 }
 
-// Send queues an Envelope{tag, body} on incident edge i.
+// Send queues body with the given tag on incident edge i.
 func (m *Mailbox) Send(i int, tag uint64, body any) {
-	m.C.Send(i, Envelope{Tag: tag, Body: body})
+	m.C.SendTag(i, tag, body)
 }
 
 // Round returns the current round.
 func (m *Mailbox) Round() int64 { return m.C.Round() }
 
 func (m *Mailbox) pump(in []simnet.Inbound) {
+	last := -1
 	for _, ib := range in {
-		env, ok := ib.Msg.(Envelope)
-		if !ok {
-			panic(fmt.Sprintf("proto: node %d received non-Envelope message %T", m.C.ID(), ib.Msg))
+		if last < 0 || m.slots[last].tag != ib.Tag {
+			last = m.slotFor(ib.Tag)
 		}
-		m.byTag[env.Tag] = append(m.byTag[env.Tag], Msg{
-			From:    ib.From,
-			NbIndex: ib.NbIndex,
-			Round:   ib.Round,
-			Body:    env.Body,
-		})
+		s := &m.slots[last]
+		s.buf = append(s.buf, Msg{From: ib.From, NbIndex: ib.NbIndex, Round: ib.Round, Body: ib.Msg})
 	}
+}
+
+// slotFor returns the index of the slot buffering tag, claiming a free
+// slot (or adding one) if none does.
+func (m *Mailbox) slotFor(tag uint64) int {
+	free := -1
+	for i := range m.slots {
+		switch s := &m.slots[i]; {
+		case len(s.buf) == 0:
+			if free < 0 {
+				free = i
+			}
+		case s.tag == tag:
+			return i
+		}
+	}
+	if free < 0 {
+		free = len(m.slots)
+		m.slots = append(m.slots, slot{})
+	}
+	m.slots[free].tag = tag
+	return free
 }
 
 // Next advances one round, buffering arrivals.
@@ -109,17 +147,19 @@ func (m *Mailbox) Span(name string, depth int, f func()) {
 	f()
 }
 
-// Take drains and returns all buffered messages with the given tag.
+// Take drains and returns all buffered messages with the given tag (nil if
+// there are none). The slice is valid until the next receive call.
 func (m *Mailbox) Take(tag uint64) []Msg {
-	q := m.byTag[tag]
-	if len(q) > 0 {
-		delete(m.byTag, tag)
+	for i := range m.slots {
+		s := &m.slots[i]
+		if len(s.buf) > 0 && s.tag == tag {
+			q := s.buf
+			s.buf, s.spare = s.spare[:0], q
+			return q
+		}
 	}
-	return q
+	return nil
 }
-
-// Pending reports how many messages are buffered for tag.
-func (m *Mailbox) Pending(tag uint64) int { return len(m.byTag[tag]) }
 
 // WaitTag blocks (event-driven; Congest mode only) until at least one
 // message with the given tag is buffered or the deadline round passes, then
@@ -139,11 +179,17 @@ func (m *Mailbox) WaitTag(tag uint64, deadline int64) []Msg {
 
 // WaitTagCount blocks until at least want messages with the tag have been
 // buffered (draining them incrementally), or the deadline passes; it returns
-// all collected messages and whether the count was reached.
+// all collected messages and whether the count was reached. When one Take
+// collects them all, the result is that Take's slice (see Take for its
+// lifetime); messages gathered across several wakes are copied out.
 func (m *Mailbox) WaitTagCount(tag uint64, want int, deadline int64) ([]Msg, bool) {
 	var acc []Msg
 	for {
-		acc = append(acc, m.Take(tag)...)
+		q := m.Take(tag)
+		if acc == nil && len(q) >= want {
+			return q, true
+		}
+		acc = append(acc, q...)
 		if len(acc) >= want {
 			return acc, true
 		}

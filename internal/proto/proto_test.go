@@ -1,6 +1,9 @@
 package proto
 
 import (
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"dsssp/internal/graph"
@@ -290,4 +293,162 @@ func TestSweepSingleton(t *testing.T) {
 	if res.Outputs[0].(int64) != 9 {
 		t.Fatalf("got %v", res.Outputs[0])
 	}
+}
+
+// bodies returns the int64 bodies of msgs.
+func bodies(msgs []Msg) []int64 {
+	var out []int64
+	for _, m := range msgs {
+		out = append(out, m.Body.(int64))
+	}
+	return out
+}
+
+// TestMailboxSlotReuse pins the slot buffers' ownership rule: tags
+// interleave across rounds and drifted phases, a slice handed out by Take
+// survives a Take of another tag in the same wake, and a drained tag's slot
+// is reused when new tags arrive.
+func TestMailboxSlotReuse(t *testing.T) {
+	g := graph.Path(2, graph.UnitWeights)
+	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
+	_, err := e.Run(func(c *simnet.Ctx) {
+		m := NewMailbox(c)
+		if c.ID() == 0 {
+			m.Send(0, 1, int64(10))
+			m.Send(0, 2, int64(20))
+			m.Send(0, 3, int64(30)) // for a phase node 1 enters much later
+			m.Next()
+			m.Send(0, 2, int64(21))
+			m.Send(0, 1, int64(11))
+			m.SleepUntil(4)
+			m.Send(0, 1, int64(12)) // tag 1 reappears after being drained
+			m.Send(0, 4, int64(40))
+			m.Next()
+			return
+		}
+		m.SleepUntil(2)
+		a := m.Take(1)
+		b := m.Take(2)
+		if got := bodies(a); !slices.Equal(got, []int64{10, 11}) {
+			t.Errorf("tag 1 after a Take of tag 2: %v, want [10 11]", got)
+		}
+		if got := bodies(b); !slices.Equal(got, []int64{20, 21}) {
+			t.Errorf("tag 2: %v, want [20 21]", got)
+		}
+		if a[0].Round != 0 || a[1].Round != 1 {
+			t.Errorf("tag 1 send rounds %d/%d, want 0/1", a[0].Round, a[1].Round)
+		}
+		if q := m.Take(1); q != nil {
+			t.Errorf("drained tag 1 still holds %v", bodies(q))
+		}
+		m.SleepUntil(5)
+		if got := bodies(m.Take(1)); !slices.Equal(got, []int64{12}) {
+			t.Errorf("reappeared tag 1: %v, want [12]", got)
+		}
+		if got := bodies(m.Take(4)); !slices.Equal(got, []int64{40}) {
+			t.Errorf("tag 4: %v, want [40]", got)
+		}
+		if got := bodies(m.Take(3)); !slices.Equal(got, []int64{30}) {
+			t.Errorf("drifted tag 3: %v, want [30]", got)
+		}
+		// Tags 1 and 4 landed in the slots tags 1 and 2 had drained.
+		if len(m.slots) != 3 {
+			t.Errorf("%d slots for at most 3 live tags", len(m.slots))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestMailboxSteadyStateAllocFree pins the allocation-free message path:
+// once the buffers have grown, a send → round → Take exchange between two
+// nodes allocates nothing in the mailbox or the engine.
+func TestMailboxSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates")
+	}
+	g := graph.Path(2, graph.UnitWeights)
+	// Warm up past one lap of the engine's wake ring (1024 rounds), whose
+	// per-round buckets grow on first use.
+	const warm, runs = 2048, 100
+	var allocs float64
+	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
+	_, err := e.Run(func(c *simnet.Ctx) {
+		m := NewMailbox(c)
+		step := func() {
+			m.Send(0, 5, 1) // small ints box without allocating
+			m.Next()
+			if q := m.Take(5); len(q) != 1 {
+				panic("exchange lost a message")
+			}
+		}
+		for i := 0; i < warm; i++ {
+			step()
+		}
+		if c.ID() == 0 {
+			allocs = testing.AllocsPerRun(runs, step)
+		} else {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun adds a warm-up call
+				step()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state exchange allocates %.2f per round (2 messages), want 0", allocs)
+	}
+}
+
+// BenchmarkMailbox measures the mailbox send/pump path: on a fixed small
+// graph every node sends a tagged message on every edge each round, rotating
+// through four tags, and drains it after the round.
+func BenchmarkMailbox(b *testing.B) {
+	g := graph.RandomConnected(32, 64, graph.UnitWeights, 1)
+	const rounds = 200
+	prog := func(c *simnet.Ctx) {
+		m := NewMailbox(c)
+		for r := 0; r < rounds; r++ {
+			tag := uint64(r % 4)
+			for i := 0; i < c.Degree(); i++ {
+				m.Send(i, tag, r&0x7f)
+			}
+			m.Next()
+			if q := m.Take(tag); len(q) != c.Degree() {
+				panic("exchange lost a message")
+			}
+		}
+	}
+	var msgs int64
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := simnet.New(g, simnet.Config{Model: simnet.Congest}).Run(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs += res.Metrics.Messages
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(msgs), "allocs/msg")
 }

@@ -50,13 +50,20 @@ func (c *Ctx) NeighborIndex(v graph.NodeID) int {
 	return -1
 }
 
-// Send queues a message on incident edge i for delivery at the end of the
-// current round. The destination receives it iff it is awake this round.
-func (c *Ctx) Send(i int, msg any) {
+// Send queues an untagged message (tag 0) on incident edge i; it is
+// SendTag(i, 0, body).
+func (c *Ctx) Send(i int, body any) { c.SendTag(i, 0, body) }
+
+// SendTag queues a message on incident edge i for delivery at the end of
+// the current round. The destination receives it iff it is awake this
+// round. The tag rides beside the body on the wire struct (Inbound.Tag),
+// so a tagged message costs no more than an untagged one: the engine never
+// boxes the pair.
+func (c *Ctx) SendTag(i int, tag uint64, body any) {
 	if i < 0 || i >= c.Degree() {
 		panic(fmt.Sprintf("simnet: node %d: Send to invalid neighbor index %d (degree %d)", c.ns.id, i, c.Degree()))
 	}
-	om := outMsg{nbIndex: i, msg: msg}
+	om := outMsg{nbIndex: i, tag: tag, msg: body}
 	if c.eng.cfg.RecordSpans {
 		om.span = c.ns.curSpan()
 	}

@@ -15,7 +15,9 @@ import (
 //
 // Do not "improve" this code: its value is being the old semantics. (The
 // only edits since freezing are mechanical field relocations tracking the
-// struct-of-arrays layout change — ns.kind → e.kind[id] and friends.)
+// struct-of-arrays layout change — ns.kind → e.kind[id] and friends — and
+// the message tag joining the wire struct: outMsg.tag is sized with the
+// body and delivered as Inbound.Tag.)
 func (e *Engine) runOracle(p Program) (*Result, error) {
 	res := e.start(p)
 	defer e.shutdown()
@@ -110,7 +112,7 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 				met.Messages++
 				met.PerEdgeMessages[h.ID]++
 				if e.cfg.MessageBits != nil {
-					b := e.cfg.MessageBits(om.msg)
+					b := e.cfg.MessageBits(om.tag, om.msg)
 					if b > met.MaxMessageBits {
 						met.MaxMessageBits = b
 					}
@@ -150,6 +152,7 @@ func (e *Engine) runOracle(p Program) (*Result, error) {
 						From:    id,
 						NbIndex: int(e.revFlat[e.revOff[id]+int32(om.nbIndex)]),
 						Round:   cur,
+						Tag:     om.tag,
 						Msg:     om.msg,
 					})
 					if e.kind[h.To] == yieldPark {

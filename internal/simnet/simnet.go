@@ -21,6 +21,15 @@
 // delivered in node-ID order, so a run is a pure function of the graph,
 // the program, and the per-node inputs.
 //
+// # Messages
+//
+// A message is a (tag, body) pair and the tag is part of the engine's wire
+// struct: Ctx.SendTag stores it in the outbox entry and the receiver reads
+// it from Inbound.Tag (Ctx.Send is the untagged form, tag 0). Protocol
+// layers dispatch on the tag without wrapping the body, so a send boxes
+// nothing beyond the body itself. Config.MessageBits sizes the pair as
+// (tag, body), again without boxing it.
+//
 // # Execution core
 //
 // The scheduler is a calendar (bucket) queue: wakes in the near window are
@@ -107,9 +116,11 @@ type Config struct {
 	// and rely on megaround accounting (Section 3.1.3).
 	StrictCongest bool
 	// MessageBits, if non-nil, estimates the wire size of every sent
-	// message in bits; the maximum is reported in Metrics.MaxMessageBits.
-	// Leave nil to skip the (reflection-heavy) measurement on hot paths.
-	MessageBits func(msg any) int64
+	// message in bits from its tag and body (the two halves of the wire
+	// struct, passed apart so sizing never boxes them); the maximum is
+	// reported in Metrics.MaxMessageBits. Leave nil to skip the
+	// (reflection-heavy) measurement on hot paths.
+	MessageBits func(tag uint64, body any) int64
 	// MaxMessageBits, when > 0 and MessageBits is set, is the strict
 	// CONGEST bandwidth budget: the run fails loudly as soon as any single
 	// message exceeds it. The paper's model allows O(log n)-bit messages;
@@ -141,7 +152,10 @@ type Inbound struct {
 	NbIndex int
 	// Round is the round in which the message was sent (and received).
 	Round int64
-	Msg   any
+	// Tag is the sender's message tag (0 for untagged sends); see
+	// Ctx.SendTag.
+	Tag uint64
+	Msg any
 }
 
 // TraceEntry records one message for scheduling analysis.
@@ -224,6 +238,7 @@ type outMsg struct {
 	// Config.RecordSpans) — message attribution must not shift when a node
 	// switches phases between sending and the end-of-round flush.
 	span int32
+	tag  uint64
 	msg  any
 }
 
@@ -574,7 +589,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 					e.spans[om.span].Messages++
 				}
 				if e.cfg.MessageBits != nil {
-					b := e.cfg.MessageBits(om.msg)
+					b := e.cfg.MessageBits(om.tag, om.msg)
 					if b > met.MaxMessageBits {
 						met.MaxMessageBits = b
 					}
@@ -617,6 +632,7 @@ func (e *Engine) Run(p Program) (*Result, error) {
 						From:    id,
 						NbIndex: int(rev[om.nbIndex]),
 						Round:   cur,
+						Tag:     om.tag,
 						Msg:     om.msg,
 					})
 					if e.kind[h.To] == yieldPark {

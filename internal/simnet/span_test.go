@@ -51,7 +51,7 @@ func checkSpanConservation(t *testing.T, met Metrics) {
 // lands in the span that was open when the engine accounted it.
 func TestSpanAttribution(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights)
-	eng := New(g, Config{Model: Congest, RecordSpans: true, MessageBits: func(any) int64 { return 7 }})
+	eng := New(g, Config{Model: Congest, RecordSpans: true, MessageBits: func(uint64, any) int64 { return 7 }})
 	res, err := eng.Run(func(c *Ctx) {
 		// Round 0 (root span): everyone idles one round.
 		c.Next()
