@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"dsssp"
 	"dsssp/internal/graph"
@@ -52,11 +53,15 @@ func run() error {
 			return err
 		}
 	} else {
+		fam := graph.Family(*family)
+		if !slices.Contains(graph.Families(), fam) {
+			return fmt.Errorf("unknown graph family %q (families: %v)", *family, graph.Families())
+		}
 		w := graph.UnitWeights
 		if *maxw > 1 {
 			w = graph.UniformWeights(*maxw, *seed)
 		}
-		g = graph.Make(graph.Family(*family), *n, w, *seed)
+		g = graph.Make(fam, *n, w, *seed)
 	}
 	opts := &dsssp.Options{}
 	switch *model {

@@ -11,7 +11,6 @@
 //	dsssp-serve -addr :9000 -cache-bytes 268435456
 //	dsssp-serve -rev $(git rev-parse --short HEAD)   # revision shown in /v1/stats
 //	dsssp-serve -debug-addr 127.0.0.1:6060           # pprof + metrics debug listener
-//	dsssp-serve -load http://localhost:8080          # hammer a running server
 //
 // Endpoints:
 //
@@ -43,8 +42,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -83,36 +80,11 @@ func main() {
 		traceKept   = flag.Int("trace-retained", 64, "flight recorder: slow/errored traces kept beyond the recent window")
 		slowQuery   = flag.Duration("slow-query", time.Second, "log requests slower than this at Warn")
 		logLevel    = flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
-		load        = flag.String("load", "", "run the service-load workload against this base URL instead of serving")
-		loadDynamic = flag.String("load-dynamic", "", "run the dynamic-graph workload (register, interleave PATCHes with per-source queries) against this base URL instead of serving")
-		loadReqs    = flag.Int("load-requests", 200, "service-load: total requests")
-		loadConc    = flag.Int("load-concurrency", 8, "service-load: concurrent clients")
-		loadGraphs  = flag.Int("load-graphs", 4, "service-load: distinct graphs (requests >> graphs ⇒ cache-hit steady state)")
-		loadN       = flag.Int("load-n", 48, "service-load: graph size")
-		loadSrcs    = flag.Int("load-sources", 32, "dynamic load: distinct query sources")
-		loadPatchEv = flag.Int("load-patch-every", 50, "dynamic load: one single-edge PATCH per this many queries")
-		loadSeed    = flag.Int64("load-seed", 1, "dynamic load: graph and patch-stream seed")
-		loadExpect  = flag.Bool("load-expect-repair", false, "dynamic load: fail unless at least one query was served by affected-region repair (when patches dirtied repairable sources)")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *load != "" {
-		runLoad(ctx, *load, service.LoadOptions{
-			Concurrency: *loadConc, Requests: *loadReqs, Graphs: *loadGraphs, N: *loadN,
-		})
-		return
-	}
-	if *loadDynamic != "" {
-		runLoadDynamic(ctx, *loadDynamic, service.DynamicLoadOptions{
-			Concurrency: *loadConc, Requests: *loadReqs, N: *loadN,
-			Sources: *loadSrcs, PatchEvery: *loadPatchEv, Seed: *loadSeed,
-			ExpectRepair: *loadExpect,
-		})
-		return
-	}
 
 	if *rev == "" {
 		*rev = gitRev()
@@ -196,43 +168,6 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
-	}
-}
-
-// runLoad drives the service-load workload and prints the JSON report.
-func runLoad(ctx context.Context, baseURL string, opt service.LoadOptions) {
-	rep, err := service.RunLoad(ctx, nil, strings.TrimRight(baseURL, "/"), opt)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		die(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
-	fmt.Fprintf(os.Stderr, "dsssp-serve: load: %d requests, %.0f%% cache hits, %.1f req/s, %d errors\n",
-		rep.Requests, 100*rep.HitRate, rep.RPS, rep.Errors)
-	if rep.Errors > 0 {
-		os.Exit(1)
-	}
-}
-
-// runLoadDynamic drives the dynamic-graph workload and prints the JSON
-// report: reuse rate plus the reused/repaired/recomputed latency split.
-func runLoadDynamic(ctx context.Context, baseURL string, opt service.DynamicLoadOptions) {
-	rep, err := service.RunLoadDynamic(ctx, nil, strings.TrimRight(baseURL, "/"), opt)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
-	fmt.Fprintf(os.Stderr,
-		"dsssp-serve: dynamic load: %d requests, %d patches, %.0f%% reuse: %d reused (p50 %.2fms), %d repaired (p50 %.2fms), %d recomputed (p50 %.2fms), %d errors\n",
-		rep.Requests, rep.Patches, 100*rep.ReuseRate,
-		rep.Reused, float64(rep.ReusedP50NS)/1e6,
-		rep.Repaired, float64(rep.RepairedP50NS)/1e6,
-		rep.Recomputed, float64(rep.RecomputedP50NS)/1e6, rep.Errors)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		die(err)
-	}
-	if rep.Errors > 0 {
-		os.Exit(1)
 	}
 }
 

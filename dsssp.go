@@ -248,6 +248,11 @@ func BFS(g *Graph, sources map[NodeID]bool, threshold int64, opts *Options) (*Re
 		// budget does not attach to it.
 		return nil, simnet.Computef("dsssp: Options.StrictCongest is supported for SSSP/CSSP/APSP, not BFS")
 	}
+	for s := range sources {
+		if s < 0 || int(s) >= g.N() {
+			return nil, simnet.Computef("dsssp: BFS source %d out of range [0,%d)", s, g.N())
+		}
+	}
 	if m == ModelSleeping {
 		src := make(map[NodeID]int64, len(sources))
 		for s := range sources {
@@ -299,10 +304,18 @@ func APSP(g *Graph, opts *Options, seed int64) (*APSPResult, error) {
 // incremental path recompute only the sources an edge delta dirtied and
 // reuse every other cached row verbatim. Dist rows for sources outside the
 // set stay nil, and Composition covers only the instances actually run.
+// Sources must be distinct and in [0,n).
 func APSPFrom(g *Graph, sources []NodeID, opts *Options, seed int64) (*APSPResult, error) {
 	_, copt, err := opts.resolved()
 	if err != nil {
 		return nil, err
+	}
+	seen := make(map[NodeID]bool, len(sources))
+	for _, s := range sources {
+		if seen[s] {
+			return nil, simnet.Computef("dsssp: APSPFrom: duplicate source %d", s)
+		}
+		seen[s] = true
 	}
 	out := &APSPResult{Dist: make([][]int64, g.N())}
 	runner := func(g *Graph, s NodeID) (sched.Trace, error) {

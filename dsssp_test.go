@@ -178,3 +178,61 @@ func TestComputeErrorTyped(t *testing.T) {
 		}
 	}
 }
+
+// TestSourceOutOfRangeRejected pins that every entry point rejects a
+// source outside [0,n) — and APSPFrom a repeated source — with a typed
+// ComputeError instead of an all-+Inf answer, an index panic, or
+// concurrent writes to one distance row.
+func TestSourceOutOfRangeRejected(t *testing.T) {
+	g := NewGraph(4)
+	g.AddEdge(0, 1, 2)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(2, 3, 5)
+	g.SortAdj()
+	n := NodeID(g.N())
+	entries := []struct {
+		name string
+		run  func(s NodeID, opts *Options) error
+	}{
+		{"SSSP", func(s NodeID, opts *Options) error {
+			_, err := SSSP(g, s, opts)
+			return err
+		}},
+		{"CSSP", func(s NodeID, opts *Options) error {
+			_, err := CSSP(g, map[NodeID]int64{0: 0, s: 1}, opts)
+			return err
+		}},
+		{"SSSPTree", func(s NodeID, opts *Options) error {
+			_, err := SSSPTree(g, s, opts)
+			return err
+		}},
+		{"CSSPTree", func(s NodeID, opts *Options) error {
+			_, err := CSSPTree(g, map[NodeID]int64{s: 0}, opts)
+			return err
+		}},
+		{"BFS", func(s NodeID, opts *Options) error {
+			_, err := BFS(g, map[NodeID]bool{s: true}, 3, opts)
+			return err
+		}},
+		{"APSPFrom", func(s NodeID, opts *Options) error {
+			_, err := APSPFrom(g, []NodeID{0, s}, opts, 1)
+			return err
+		}},
+	}
+	for _, m := range []Model{ModelCongest, ModelSleeping} {
+		for _, e := range entries {
+			for _, s := range []NodeID{n, -1} {
+				err := e.run(s, &Options{Model: m, Workers: 2})
+				var ce *ComputeError
+				if !errors.As(err, &ce) {
+					t.Errorf("%s/%s source %d: error %v (%T), want a *ComputeError", m, e.name, s, err, err)
+				}
+			}
+		}
+		_, err := APSPFrom(g, []NodeID{3, 3, 3, 3}, &Options{Model: m, Workers: 4}, 1)
+		var ce *ComputeError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "duplicate source 3") {
+			t.Errorf("%s/APSPFrom duplicate sources: error %v, want a duplicate-source *ComputeError", m, err)
+		}
+	}
+}

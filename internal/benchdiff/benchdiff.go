@@ -16,6 +16,7 @@ package benchdiff
 import (
 	"fmt"
 
+	"dsssp/internal/core"
 	"dsssp/internal/harness"
 )
 
@@ -319,7 +320,7 @@ func comparePhases(delta *Delta, or, nr harness.Result, th Thresholds, anyChange
 	if len(or.Phases) == 0 && len(nr.Phases) == 0 {
 		return
 	}
-	newBy := make(map[string]harness.PhaseStat, len(nr.Phases))
+	newBy := make(map[string]core.PhaseStat, len(nr.Phases))
 	for _, p := range nr.Phases {
 		newBy[p.Phase] = p
 	}
@@ -332,12 +333,12 @@ func comparePhases(delta *Delta, or, nr harness.Result, th Thresholds, anyChange
 	}
 	for _, np := range nr.Phases {
 		if !oldSeen[np.Phase] {
-			comparePhase(delta, harness.PhaseStat{Phase: np.Phase}, np, or, nr, th, anyChange)
+			comparePhase(delta, core.PhaseStat{Phase: np.Phase}, np, or, nr, th, anyChange)
 		}
 	}
 }
 
-func comparePhase(delta *Delta, op, np harness.PhaseStat, or, nr harness.Result, th Thresholds, anyChange *bool) {
+func comparePhase(delta *Delta, op, np core.PhaseStat, or, nr harness.Result, th Thresholds, anyChange *bool) {
 	if op.Rounds == 0 && np.Rounds == 0 {
 		return
 	}

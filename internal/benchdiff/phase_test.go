@@ -4,10 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"dsssp/internal/core"
 	"dsssp/internal/harness"
 )
 
-func resWithPhases(name string, roundsEnv int64, phases ...harness.PhaseStat) harness.Result {
+func resWithPhases(name string, roundsEnv int64, phases ...core.PhaseStat) harness.Result {
 	r := res(name, 0, roundsEnv)
 	for _, p := range phases {
 		r.Rounds += p.Rounds
@@ -21,14 +22,14 @@ func resWithPhases(name string, roundsEnv int64, phases ...harness.PhaseStat) ha
 // EnvelopeWorsen (the other phases shrink to compensate).
 func TestPhaseGateLocalizedRegression(t *testing.T) {
 	old := report(resWithPhases("a", 100000,
-		harness.PhaseStat{Phase: "decompose", Rounds: 9000},
-		harness.PhaseStat{Phase: "cutter", Rounds: 1000},
+		core.PhaseStat{Phase: "decompose", Rounds: 9000},
+		core.PhaseStat{Phase: "cutter", Rounds: 1000},
 	))
 	// Total 10000 → 10000: the scenario ratio is flat, but the cutter
 	// doubled at decompose's expense.
 	shifted := report(resWithPhases("a", 100000,
-		harness.PhaseStat{Phase: "decompose", Rounds: 8000},
-		harness.PhaseStat{Phase: "cutter", Rounds: 2000},
+		core.PhaseStat{Phase: "decompose", Rounds: 8000},
+		core.PhaseStat{Phase: "cutter", Rounds: 2000},
 	))
 	d, err := Compare(old, shifted, DefaultThresholds())
 	if err != nil {
@@ -48,12 +49,12 @@ func TestPhaseGateLocalizedRegression(t *testing.T) {
 // changed).
 func TestPhaseGateMinDelta(t *testing.T) {
 	old := report(resWithPhases("a", 100000,
-		harness.PhaseStat{Phase: "decompose", Rounds: 10000},
-		harness.PhaseStat{Phase: "merge", Rounds: 4},
+		core.PhaseStat{Phase: "decompose", Rounds: 10000},
+		core.PhaseStat{Phase: "merge", Rounds: 4},
 	))
 	small := report(resWithPhases("a", 100000,
-		harness.PhaseStat{Phase: "decompose", Rounds: 10000},
-		harness.PhaseStat{Phase: "merge", Rounds: 12},
+		core.PhaseStat{Phase: "decompose", Rounds: 10000},
+		core.PhaseStat{Phase: "merge", Rounds: 12},
 	))
 	d, err := Compare(old, small, DefaultThresholds())
 	if err != nil {
@@ -69,8 +70,8 @@ func TestPhaseGateMinDelta(t *testing.T) {
 
 // TestPhaseGateDisabled: a negative PhaseWorsen turns per-phase gating off.
 func TestPhaseGateDisabled(t *testing.T) {
-	old := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "cutter", Rounds: 1000}))
-	worse := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "cutter", Rounds: 5000}))
+	old := report(resWithPhases("a", 100000, core.PhaseStat{Phase: "cutter", Rounds: 1000}))
+	worse := report(resWithPhases("a", 100000, core.PhaseStat{Phase: "cutter", Rounds: 5000}))
 	th := DefaultThresholds()
 	th.PhaseWorsen = -1
 	th.EnvelopeWorsen = -1 // the scenario total would gate otherwise
@@ -86,10 +87,10 @@ func TestPhaseGateDisabled(t *testing.T) {
 // TestPhaseGateNewPhase: a phase appearing from nowhere with substantial
 // rounds gates (its old ratio is 0, so any growth beyond the floor trips).
 func TestPhaseGateNewPhase(t *testing.T) {
-	old := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "decompose", Rounds: 10000}))
+	old := report(resWithPhases("a", 100000, core.PhaseStat{Phase: "decompose", Rounds: 10000}))
 	grown := report(resWithPhases("a", 100000,
-		harness.PhaseStat{Phase: "decompose", Rounds: 10000},
-		harness.PhaseStat{Phase: "bfs-layers", Rounds: 3000},
+		core.PhaseStat{Phase: "decompose", Rounds: 10000},
+		core.PhaseStat{Phase: "bfs-layers", Rounds: 3000},
 	))
 	d, err := Compare(old, grown, Thresholds{EnvelopeWorsen: -1, PhaseWorsen: 0.25, PhaseMinDelta: 16})
 	if err != nil {
@@ -103,8 +104,8 @@ func TestPhaseGateNewPhase(t *testing.T) {
 // TestPhaseDeltasInMetrics: phase rows surface as phase:<key> metric deltas
 // so the JSON diff (and the markdown "other deltas" column) carries them.
 func TestPhaseDeltasInMetrics(t *testing.T) {
-	old := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "cutter", Rounds: 1000}))
-	moved := report(resWithPhases("a", 100000, harness.PhaseStat{Phase: "cutter", Rounds: 1100}))
+	old := report(resWithPhases("a", 100000, core.PhaseStat{Phase: "cutter", Rounds: 1000}))
+	moved := report(resWithPhases("a", 100000, core.PhaseStat{Phase: "cutter", Rounds: 1100}))
 	d, err := Compare(old, moved, Thresholds{EnvelopeWorsen: -1, PhaseWorsen: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +131,8 @@ func TestPhaseDeltasInMetrics(t *testing.T) {
 // baseline-currency invariant — a self-diff with phases stays unchanged.
 func TestPhaseSelfDiffUnchanged(t *testing.T) {
 	rep := report(resWithPhases("a", 100000,
-		harness.PhaseStat{Phase: "decompose", Rounds: 9000, Messages: 50},
-		harness.PhaseStat{Phase: "cutter", Rounds: 1000, Messages: 20, RoundsByDepth: "600/400"},
+		core.PhaseStat{Phase: "decompose", Rounds: 9000, Messages: 50},
+		core.PhaseStat{Phase: "cutter", Rounds: 1000, Messages: 20, RoundsByDepth: "600/400"},
 	))
 	d, err := Compare(rep, rep, DefaultThresholds())
 	if err != nil {

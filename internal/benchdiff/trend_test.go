@@ -6,10 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"dsssp/internal/core"
 	"dsssp/internal/harness"
 )
 
-func phased(name string, rounds, roundsEnv int64, phases ...harness.PhaseStat) harness.Result {
+func phased(name string, rounds, roundsEnv int64, phases ...core.PhaseStat) harness.Result {
 	r := res(name, rounds, roundsEnv)
 	r.Phases = phases
 	return r
@@ -18,15 +19,15 @@ func phased(name string, rounds, roundsEnv int64, phases ...harness.PhaseStat) h
 func TestChainSeries(t *testing.T) {
 	reps := []harness.Report{
 		report(
-			phased("a", 1000, 10000, harness.PhaseStat{Phase: "decompose", Rounds: 800}),
+			phased("a", 1000, 10000, core.PhaseStat{Phase: "decompose", Rounds: 800}),
 			res("b", 2000, 10000),
 		),
 		report(
-			phased("a", 1100, 10000, harness.PhaseStat{Phase: "decompose", Rounds: 900}),
+			phased("a", 1100, 10000, core.PhaseStat{Phase: "decompose", Rounds: 900}),
 			res("b", 2000, 10000),
 		),
 		report(
-			phased("a", 1210, 10000, harness.PhaseStat{Phase: "decompose", Rounds: 1000}),
+			phased("a", 1210, 10000, core.PhaseStat{Phase: "decompose", Rounds: 1000}),
 			res("c", 500, 10000), // b removed, c added
 		),
 	}
@@ -169,8 +170,8 @@ func TestChainErrors(t *testing.T) {
 
 func TestTrendMarkdownAndJSON(t *testing.T) {
 	reps := []harness.Report{
-		report(phased("a", 1000, 10000, harness.PhaseStat{Phase: "decompose", Rounds: 800})),
-		report(phased("a", 1100, 10000, harness.PhaseStat{Phase: "decompose", Rounds: 900})),
+		report(phased("a", 1000, 10000, core.PhaseStat{Phase: "decompose", Rounds: 800})),
+		report(phased("a", 1100, 10000, core.PhaseStat{Phase: "decompose", Rounds: 900})),
 	}
 	tr, err := Chain(reps, []string{"base", "head"}, DefaultThresholds())
 	if err != nil {

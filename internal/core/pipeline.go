@@ -226,6 +226,9 @@ type problem struct {
 // rescaling, and derives the initial power-of-two threshold D0.
 func prepareProblem(g *graph.Graph, srcs []sourceOffset) (problem, error) {
 	for _, s := range srcs {
+		if s.v < 0 || int(s.v) >= g.N() {
+			return problem{}, simnet.Computef("core: source %d out of range [0,%d)", s.v, g.N())
+		}
 		if s.off < 0 {
 			return problem{}, simnet.Computef("core: negative offset %d at source %d", s.off, s.v)
 		}

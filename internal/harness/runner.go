@@ -63,8 +63,8 @@ type Result struct {
 	// Phases is the per-phase breakdown of the run (CSSP-pipeline
 	// algorithms only): where the rounds, messages, and awake rounds went,
 	// stage by stage. The counters partition the scenario-level metrics
-	// exactly — see PhaseStat.
-	Phases []PhaseStat `json:"phases,omitempty"`
+	// exactly — see core.PhaseStat.
+	Phases []core.PhaseStat `json:"phases,omitempty"`
 
 	// Envelope is the paper's predicted bound for this scenario; compare
 	// the measured columns against it across PRs.
@@ -380,7 +380,7 @@ func executeUnvalidated(s Scenario) (r Result) {
 		// Phases merged over all composed instances: the summed counters
 		// (messages, awake) and the bit maximum tie back to the scenario
 		// totals; rounds are per-instance sums, not the heaviest instance.
-		r.Phases = phasesFromSpans(comp.Spans)
+		r.Phases = core.PhasesFromSpans(comp.Spans)
 		r.Dilation, r.Congestion = comp.Dilation, comp.Congestion
 		r.MakespanAligned, r.MakespanRandom = comp.MakespanAligned, comp.MakespanRandom
 		r.MakespanSequential = comp.MakespanSequential
@@ -406,7 +406,7 @@ func fillMetrics(r *Result, met simnet.Metrics) {
 	r.Rounds, r.StrictRounds, r.Messages = met.Rounds, met.StrictRounds, met.Messages
 	r.MaxEdgeMessages, r.MaxAwake, r.TotalAwake = met.MaxEdgeMessages, met.MaxAwake, met.TotalAwake
 	r.MaxMessageBits = met.MaxMessageBits
-	r.Phases = phasesFromSpans(met.Spans)
+	r.Phases = core.PhasesFromSpans(met.Spans)
 }
 
 func maxSub(st core.Stats) int {

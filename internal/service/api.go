@@ -6,8 +6,8 @@ import (
 	"sort"
 
 	"dsssp"
+	"dsssp/internal/core"
 	"dsssp/internal/graph"
-	"dsssp/internal/harness"
 	"dsssp/internal/simnet"
 )
 
@@ -68,7 +68,8 @@ type GraphSpec struct {
 	Weights *WeightSpec `json:"weights,omitempty"`
 }
 
-// WeightSpec mirrors the harness weight vocabulary.
+// WeightSpec mirrors the harness weight vocabulary: kind is "unit",
+// "uniform" or "zero-heavy".
 type WeightSpec struct {
 	Kind string `json:"kind"`
 	MaxW int64  `json:"max_w,omitempty"`
@@ -146,14 +147,14 @@ func metricsJSON(m simnet.Metrics) MetricsJSON {
 // simulation ran, so there are no rounds/messages to report — the
 // distances are still byte-identical to a full run's.
 type SSSPResponse struct {
-	N              int                 `json:"n"`
-	M              int                 `json:"m"`
-	Dist           []int64             `json:"dist"`
-	Unreachable    int                 `json:"unreachable"`
-	SubproblemsMax int                 `json:"subproblems_max,omitempty"`
-	Metrics        MetricsJSON         `json:"metrics,omitzero"`
-	Phases         []harness.PhaseStat `json:"phases,omitempty"`
-	Incr           *QueryIncrJSON      `json:"incr,omitempty"`
+	N              int              `json:"n"`
+	M              int              `json:"m"`
+	Dist           []int64          `json:"dist"`
+	Unreachable    int              `json:"unreachable"`
+	SubproblemsMax int              `json:"subproblems_max,omitempty"`
+	Metrics        MetricsJSON      `json:"metrics,omitzero"`
+	Phases         []core.PhaseStat `json:"phases,omitempty"`
+	Incr           *QueryIncrJSON   `json:"incr,omitempty"`
 }
 
 // QueryIncrJSON is the incremental-serving block of a single-source
@@ -194,12 +195,12 @@ type CompositionJSON struct {
 // to a from-scratch run either way; the composition of instances that were
 // never re-run is unknowable without re-running them).
 type APSPResponse struct {
-	N           int                 `json:"n"`
-	M           int                 `json:"m"`
-	Dist        [][]int64           `json:"dist"`
-	Composition CompositionJSON     `json:"composition"`
-	Phases      []harness.PhaseStat `json:"phases,omitempty"`
-	Incr        *IncrJSON           `json:"incr,omitempty"`
+	N           int              `json:"n"`
+	M           int              `json:"m"`
+	Dist        [][]int64        `json:"dist"`
+	Composition CompositionJSON  `json:"composition"`
+	Phases      []core.PhaseStat `json:"phases,omitempty"`
+	Incr        *IncrJSON        `json:"incr,omitempty"`
 }
 
 // IncrJSON is the incremental-serving split of an APSP response: how many
@@ -373,13 +374,13 @@ func buildGeneratorGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
 		}
 		wseed := weightSeed(spec)
 		switch spec.Weights.Kind {
-		case "", string(harness.WeightUnit):
-		case string(harness.WeightUniform):
+		case "", "unit":
+		case "uniform":
 			if spec.Weights.MaxW < 1 {
 				return nil, badf("uniform weights need max_w >= 1")
 			}
 			w = graph.UniformWeights(spec.Weights.MaxW, wseed)
-		case string(harness.WeightZeroHeavy):
+		case "zero-heavy":
 			if spec.Weights.MaxW < 1 {
 				return nil, badf("zero-heavy weights need max_w >= 1")
 			}

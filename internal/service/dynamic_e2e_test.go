@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -213,11 +214,19 @@ func TestDynamicAPSPIncremental(t *testing.T) {
 // as an inline wire spec — the from-scratch oracle for repaired answers.
 const ciGraphPatchedJSON = `{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[0,3,1],[0,2,1]]}`
 
-// TestRepairServing walks the affected-region repair path over the wire:
-// a query traces a source, a PATCH dirties it (stale trace kept), and the
-// re-query is served by repair — flagged in header, body, and /v1/stats —
-// with distances byte-identical to a from-scratch run of the new content.
+// TestRepairServing walks the affected-region repair path over the wire,
+// on two inputs: the scripted square-with-chord graph, and a seeded stream
+// of ±1 reweights on a random generator graph.
 func TestRepairServing(t *testing.T) {
+	t.Run("chord", repairServingChord)
+	t.Run("random-reweights", repairServingRandom)
+}
+
+// repairServingChord: a query traces a source, a PATCH dirties it (stale
+// trace kept), and the re-query is served by repair — flagged in header,
+// body, and /v1/stats — with distances byte-identical to a from-scratch
+// run of the new content.
+func repairServingChord(t *testing.T) {
 	s := testServer(t)
 	var info GraphInfo
 	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
@@ -297,6 +306,72 @@ func TestRepairServing(t *testing.T) {
 	if traced.Incr != nil || len(traced.Phases) == 0 {
 		t.Fatalf("trace=1 served by repair: incr=%+v phases=%d", traced.Incr, len(traced.Phases))
 	}
+}
+
+// repairServingRandom registers a random n=64 graph, traces 8 sources,
+// then applies a seeded stream of single-edge ±1 reweights, each followed
+// by reads of those sources. Every reply must equal Dijkstra on the current
+// revision, and repair must serve at least one of them.
+func repairServingRandom(t *testing.T) {
+	const (
+		n       = 64
+		sources = 8
+		patches = 24
+	)
+	s := testServer(t)
+	spec := GraphSpec{Family: "random", N: n, Seed: 1, Weights: &WeightSpec{Kind: "uniform", MaxW: n}}
+	g, err := buildGraph(spec, n, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := json.Marshal(RegisterRequest{Graph: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", string(reg)), http.StatusCreated, &info)
+
+	repaired := 0
+	readAll := func(step int) {
+		t.Helper()
+		for src := 0; src < sources; src++ {
+			w := do(t, s, "POST", "/v1/sssp", fmt.Sprintf(`{"graph":{"graph_id":%q},"source":%d}`, info.ID, src))
+			var resp SSSPResponse
+			decodeBody(t, w, http.StatusOK, &resp)
+			if want := graph.Dijkstra(g, graph.NodeID(src)); !reflect.DeepEqual(resp.Dist, want) {
+				t.Fatalf("step %d source %d (%s): dist %v, want %v", step, src, w.Header().Get("X-Dsssp-Incr"), resp.Dist, want)
+			}
+			if w.Header().Get("X-Dsssp-Incr") == "repaired" {
+				repaired++
+			}
+		}
+	}
+	readAll(0)
+
+	// Each patch bumps one random edge by +1 or restores it, so the stream
+	// exercises both classification directions.
+	rng := rand.New(rand.NewSource(1))
+	edges := g.Edges()
+	bumped := make(map[int]bool)
+	for step := 1; step <= patches; step++ {
+		ei := rng.Intn(len(edges))
+		e := edges[ei]
+		w := e.W + 1
+		if bumped[ei] {
+			w = e.W
+		}
+		bumped[ei] = !bumped[ei]
+		decodeBody(t, do(t, s, "PATCH", "/v1/graphs/"+info.ID+"/edges",
+			fmt.Sprintf(`{"deltas":[{"op":"reweight","u":%d,"v":%d,"w":%d}]}`, e.U, e.V, w)), http.StatusOK, &PatchInfo{})
+		if g, err = graph.ApplyDeltas(g, []graph.EdgeDelta{{Op: graph.DeltaReweight, U: e.U, V: e.V, W: w}}); err != nil {
+			t.Fatal(err)
+		}
+		readAll(step)
+	}
+	if repaired == 0 {
+		t.Fatalf("%d patches over %d traced sources: no read was served by repair", patches, sources)
+	}
+	t.Logf("%d of %d reads served by repair", repaired, sources*(patches+1))
 }
 
 // TestRepairDisabled pins the -repair-max-affected=-1 escape hatch: the

@@ -12,15 +12,13 @@ import (
 
 // TestEndToEnd is the acceptance test for the serving layer, run against a
 // real httptest server (and under -race in CI): concurrent identical
-// queries dedup into cache hits with byte-identical responses, and the
-// service-load generator runs clean and hit-dominated.
+// queries dedup into cache hits with byte-identical responses.
 func TestEndToEnd(t *testing.T) {
 	srv := testServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	t.Run("concurrent-identical-queries", func(t *testing.T) { e2eConcurrentQueries(t, ts) })
-	t.Run("service-load", func(t *testing.T) { e2eLoad(t, ts) })
 }
 
 func e2eConcurrentQueries(t *testing.T, ts *httptest.Server) {
@@ -66,23 +64,5 @@ func e2eConcurrentQueries(t *testing.T, ts *httptest.Server) {
 		if !bytes.Equal(bodies[0], bodies[i]) {
 			t.Fatalf("response %d differs byte-wise from response 0", i)
 		}
-	}
-}
-
-func e2eLoad(t *testing.T, ts *httptest.Server) {
-	rep, err := RunLoad(t.Context(), ts.Client(), ts.URL, LoadOptions{
-		Concurrency: 4, Requests: 40, Graphs: 2, N: 24,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors > 0 {
-		t.Fatalf("load errors: %d (first: %s)", rep.Errors, rep.FirstError)
-	}
-	if rep.Requests != 40 || rep.Hits < rep.Requests/2 {
-		t.Fatalf("load report = %+v (want hit-dominated)", rep)
-	}
-	if rep.RPS <= 0 || rep.WallNS <= 0 {
-		t.Fatalf("load throughput = %+v", rep)
 	}
 }

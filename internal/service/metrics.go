@@ -3,7 +3,7 @@ package service
 import (
 	"strings"
 
-	"dsssp/internal/harness"
+	"dsssp/internal/core"
 	"dsssp/internal/obs"
 )
 
@@ -146,7 +146,7 @@ func newServerMetrics(cfg *Config, cache *Cache, registry *GraphRegistry) *serve
 // scrape surface. Called once per computed (not cached) query. traceID,
 // when non-empty (the query was sampled), rides along as each bucket's
 // exemplar so a dashboard outlier deep-links into /debug/traces.
-func (m *serverMetrics) observePhases(phases []harness.PhaseStat, traceID string) {
+func (m *serverMetrics) observePhases(phases []core.PhaseStat, traceID string) {
 	for _, ph := range phases {
 		if ph.Rounds > 0 {
 			m.phaseRounds.With(ph.Phase).ObserveExemplar(float64(ph.Rounds), traceID)

@@ -33,8 +33,8 @@ import (
 	"time"
 
 	"dsssp"
+	"dsssp/internal/core"
 	"dsssp/internal/graph"
-	"dsssp/internal/harness"
 	"dsssp/internal/incr"
 	"dsssp/internal/obs"
 	"dsssp/internal/obs/trace"
@@ -226,7 +226,7 @@ func (s *Server) Handler() http.Handler {
 // debug listener too; tests scrape it directly).
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
-// Tracer exposes the request tracer (the load generators and tests reach
+// Tracer exposes the request tracer (the benchmark client and tests reach
 // the flight recorder through it).
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
@@ -447,7 +447,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 // when computed, or the incr block when repaired.
 type answer struct {
 	dsssp.TreeResult
-	phases []harness.PhaseStat
+	phases []core.PhaseStat
 	incr   *QueryIncrJSON
 }
 
@@ -605,7 +605,7 @@ func (s *Server) answerAPSP(w http.ResponseWriter, sp *trace.Span, q *query, see
 // `rounds` attributes sum exactly to the run's total rounds — the
 // conservation law the span ledger guarantees and the /debug/traces
 // consumers assert.
-func (s *Server) runEngine(sp *trace.Span, q *query, sources int, run func() ([]simnet.SpanMetrics, error)) ([]harness.PhaseStat, error) {
+func (s *Server) runEngine(sp *trace.Span, q *query, sources int, run func() ([]simnet.SpanMetrics, error)) ([]core.PhaseStat, error) {
 	eng := sp.StartChild("engine")
 	eng.SetAttr("sources", sources)
 	spans, err := run()
@@ -614,9 +614,9 @@ func (s *Server) runEngine(sp *trace.Span, q *query, sources int, run func() ([]
 		eng.End()
 		return nil, err
 	}
-	phases := harness.PhasesFromSpans(spans)
+	phases := core.PhasesFromSpans(spans)
 	if eng != nil {
-		total := harness.PhaseRounds(phases)
+		total := core.PhaseRounds(phases)
 		d := time.Since(eng.StartTime())
 		cursor := eng.StartTime()
 		for _, ph := range phases {

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"dsssp/internal/core"
 	"dsssp/internal/graph"
-	"dsssp/internal/harness"
 )
 
 func testServer(t *testing.T) *Server {
@@ -376,7 +376,7 @@ func TestTraceQueryParam(t *testing.T) {
 	if len(traced.Phases) == 0 {
 		t.Fatal("?trace=1 did not attach a phase breakdown")
 	}
-	if got := harness.PhaseRounds(traced.Phases); got != traced.Metrics.Rounds {
+	if got := core.PhaseRounds(traced.Phases); got != traced.Metrics.Rounds {
 		t.Fatalf("trace rounds %d do not equal reported rounds %d", got, traced.Metrics.Rounds)
 	}
 
