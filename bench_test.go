@@ -21,6 +21,8 @@ import (
 )
 
 // BenchmarkE1CongestCSSP — Theorem 2.6: Õ(n) time, polylog congestion.
+// totalAwake and msgs are the engine's awake events and messages per run,
+// the denominators of its per-event cost.
 func BenchmarkE1CongestCSSP(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		g := graph.RandomConnected(n, 2*n, graph.UniformWeights(int64(n), 7), 7)
@@ -36,6 +38,8 @@ func BenchmarkE1CongestCSSP(b *testing.B) {
 			}
 			b.ReportMetric(float64(met.Rounds)/float64(n), "rounds/n")
 			b.ReportMetric(float64(met.MaxEdgeMessages), "maxEdgeMsgs")
+			b.ReportMetric(float64(met.TotalAwake), "totalAwake")
+			b.ReportMetric(float64(met.Messages), "msgs")
 		})
 	}
 }

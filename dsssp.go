@@ -116,8 +116,10 @@ func WitnessParents(g *Graph, source NodeID, dist []int64) []NodeID {
 type Metrics = simnet.Metrics
 
 // ComputeError is what every entry point returns for well-formed input it
-// cannot process: a MaxRounds overrun, a strict-CONGEST violation, or an
-// invalid option combination. Classify it with errors.As.
+// cannot process: a MaxRounds overrun, a strict-CONGEST violation, an
+// invalid option combination, or weights outside the domain
+// n·maxW·scale + maxOffset·scale + 1 < 2^61 (scale = n+1 when some weight
+// is 0). Classify it with errors.As.
 type ComputeError = simnet.ComputeError
 
 // Options tunes a run.

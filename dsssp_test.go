@@ -2,6 +2,7 @@ package dsssp
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -233,6 +234,47 @@ func TestSourceOutOfRangeRejected(t *testing.T) {
 		var ce *ComputeError
 		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "duplicate source 3") {
 			t.Errorf("%s/APSPFrom duplicate sources: error %v, want a duplicate-source *ComputeError", m, err)
+		}
+	}
+}
+
+// TestWeightDomain pins the CONGEST weight domain on n=3 with edges 0–1 of
+// weight w and 1–2 of weight w12: the start threshold
+// D0 = 2^Len64(n·maxW·scale + maxOff + 1) must stay below Inf = 2^62, where
+// scale = n+1 once a weight is 0. Inside the domain the answer is exact; past
+// it every query returns a *ComputeError, never an all-+Inf answer or a
+// node panic.
+func TestWeightDomain(t *testing.T) {
+	const boundary = (1<<61 - 2) / 3 // 3·w + 1 = 2^61 - 1
+	cases := []struct {
+		name   string
+		w, w12 int64
+		exact  bool
+	}{
+		{"boundary", boundary, 1, true},
+		{"boundary+1", boundary + 1, 1, false},
+		{"large", 1537228672809129300, 1, false},
+		{"boundary-zero-weight", boundary, 0, false},
+		{"large-zero-weight", 1537228672809129300, 0, false},
+	}
+	for _, tc := range cases {
+		g := NewGraph(3)
+		g.AddEdge(0, 1, tc.w)
+		g.AddEdge(1, 2, tc.w12)
+		g.SortAdj()
+		res, err := SSSP(g, 0, &Options{Model: ModelCongest})
+		if !tc.exact {
+			var ce *ComputeError
+			if !errors.As(err, &ce) {
+				t.Errorf("%s: error %v (%T), want a *ComputeError", tc.name, err, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := []int64{0, tc.w, tc.w + tc.w12}; !slices.Equal(res.Dist, want) {
+			t.Errorf("%s: dist %v, want %v", tc.name, res.Dist, want)
 		}
 	}
 }

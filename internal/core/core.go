@@ -183,6 +183,8 @@ func RunCSSPTraced(g *graph.Graph, sources map[graph.NodeID]int64, opts Options)
 // weights are handled by scaling every weight by n+1, mapping zeros to 1,
 // and dividing the result — the scaling preserves exact distances because
 // a shortest path gains less than n+1 from the zero-weight perturbation).
+// Instances outside the weight domain (see prepareProblem) return a
+// simnet.ComputeError.
 func RunCSSP(g *graph.Graph, sources map[graph.NodeID]int64, opts Options) ([]int64, Stats, simnet.Metrics, error) {
 	d, st, met, _, err := runCSSP(g, sources, opts, false)
 	return d, st, met, err

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"dsssp/internal/bfs"
@@ -222,8 +223,23 @@ type problem struct {
 	levels int
 }
 
+// thresholdLimit bounds startThreshold's distance bound: D0 is the power of
+// two above the bound, and it must stay below graph.Inf (2^62) so that every
+// threshold and finite distance stays distinct from +Inf.
+const thresholdLimit = graph.Inf / 2
+
+// mulBelow returns a·b for non-negative a and b, and whether the product is
+// below thresholdLimit (false on int64 overflow too).
+func mulBelow(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	return int64(lo), hi == 0 && lo < uint64(thresholdLimit)
+}
+
 // prepareProblem validates the sources, applies the Theorem 2.7 zero-weight
-// rescaling, and derives the initial power-of-two threshold D0.
+// rescaling, and derives the initial power-of-two threshold D0. It rejects
+// instances outside the weight domain, where n·maxW·scale + maxOff·scale + 1
+// reaches 2^61 and D0 would reach graph.Inf; the rescale and the bound are
+// checked without overflow.
 func prepareProblem(g *graph.Graph, srcs []sourceOffset) (problem, error) {
 	for _, s := range srcs {
 		if s.v < 0 || int(s.v) >= g.N() {
@@ -233,26 +249,40 @@ func prepareProblem(g *graph.Graph, srcs []sourceOffset) (problem, error) {
 			return problem{}, simnet.Computef("core: negative offset %d at source %d", s.off, s.v)
 		}
 	}
+	n := int64(g.N())
 	pr := problem{run: g, scale: 1}
 	for _, e := range g.Edges() {
 		if e.W == 0 {
-			// Scaling every weight by n+1 (zeros to 1) preserves exact
-			// distances: a shortest path gains less than n+1 from the
-			// zero-weight perturbation.
-			pr.scale = int64(g.N()) + 1
-			pr.run = g.Reweight(func(_ graph.EdgeID, w int64) int64 {
-				if w == 0 {
-					return 1
-				}
-				return w * pr.scale
-			})
+			pr.scale = n + 1
 			break
 		}
 	}
+	rawMaxW := g.MaxWeight()
+	maxW, ok := mulBelow(rawMaxW, pr.scale)
+	if pr.scale > 1 {
+		maxW = max(maxW, 1) // zero weights become 1
+	}
 	for _, s := range srcs {
-		if s.off*pr.scale > pr.maxOff {
-			pr.maxOff = s.off * pr.scale
-		}
+		off, okOff := mulBelow(s.off, pr.scale)
+		ok = ok && okOff
+		pr.maxOff = max(pr.maxOff, off)
+	}
+	spread, okN := mulBelow(n, maxW)
+	if !ok || !okN || spread+pr.maxOff+1 >= thresholdLimit {
+		return problem{}, simnet.Computef(
+			"core: weights out of domain: need n·maxW·scale + maxOffset·scale + 1 < 2^61 (n=%d, max weight %d, scale %d)",
+			n, rawMaxW, pr.scale)
+	}
+	if pr.scale > 1 {
+		// Scaling every weight by n+1 (zeros to 1) preserves exact
+		// distances: a shortest path gains less than n+1 from the
+		// zero-weight perturbation.
+		pr.run = g.Reweight(func(_ graph.EdgeID, w int64) int64 {
+			if w == 0 {
+				return 1
+			}
+			return w * pr.scale
+		})
 	}
 	pr.d0, pr.levels = startThreshold(pr.run, pr.maxOff)
 	return pr, nil

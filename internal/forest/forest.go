@@ -5,7 +5,8 @@
 // because every step is statically scheduled.
 //
 // Structure of a phase (component count with outgoing edges shrinks by a
-// constant factor per phase):
+// constant factor per phase; every component still running a phase has an
+// outgoing edge, see the stop rule below):
 //
 //  1. Every participant exchanges its component ID with its eligible
 //     neighbors (1 round, 2 messages per edge).
@@ -24,15 +25,33 @@
 //     already merged). On OK the satellite adopts the target's identity:
 //     a marker sweep up the old tree records the path from the bridgehead
 //     to the old root (these parent pointers flip), and a broadcast sweep
-//     down rebases every member's depth, component ID, color, and
-//     outgoing-flag. Because targets never move while absorbing, depths are
-//     consistent; because colors are proper along chooser pointers, a
-//     component whose color is smaller than its target's always succeeds,
-//     which yields the 1/6-progress bound behind the phase budget.
+//     down rebases every member's depth, component ID, and color. Because
+//     targets never move while absorbing, depths are consistent; because
+//     colors are proper along chooser pointers, a component whose color is
+//     smaller than its target's always succeeds, which yields the
+//     1/6-progress bound behind the phase budget.
 //
-// Energy per node is O(1) per phase section (every wake is one of: the
+// Stop rule: a component whose step-2 sweep finds no outgoing eligible edge
+// leaves the phase loop right there and sleeps until the final size
+// agreement. This is safe in both models:
+//
+//   - Every node of the component receives the same chosen edge (none) from
+//     the root's sweep down, so the whole component stops together.
+//   - With no outgoing eligible edge it is a connected component of the
+//     participant subgraph. Eligibility is symmetric, so no other
+//     participant has an eligible edge into it either, and no live node ever
+//     sends it an exchange, request, or bridge message.
+//   - It would never merge again, so its Result (Tree, CompID, Size) is the
+//     one it would have reached by running the idle phases.
+//
+// The schedule is unchanged: phases keep their fixed start rounds, the size
+// agreement still starts after Phases(SizeBound) phase slots, and every
+// participant returns at exactly StartRound + Duration(SizeBound). Energy
+// per node is O(1) per phase section it runs (every wake is one of: the
 // exchange, two rounds of a sweep, or a bridge round), giving O(log n)
-// total — within Theorem 3.1's O(log^2 n) budget.
+// total — within Theorem 3.1's O(log^2 n) budget — and a component pays only
+// for the phases before it became maximal, plus one exchange and min-edge
+// sweep to find that out.
 package forest
 
 import (
@@ -105,7 +124,6 @@ type ackBody struct {
 	Verdict int
 	Comp    graph.NodeID
 	Color   int64
-	HasOut  bool
 	Depth   int64
 }
 
@@ -153,7 +171,6 @@ type node struct {
 
 	compID   graph.NodeID
 	color    int64
-	hasOut   bool
 	parent   int    // nbIndex or -1
 	children []bool // per edge: it leads to a tree child
 	depth    int64
@@ -218,7 +235,9 @@ func Build(mb *proto.Mailbox, p Params) Result {
 
 	phases := Phases(f.s)
 	for ph := int64(0); ph < phases; ph++ {
-		f.phase(p.StartRound + ph*phaseLen(f.s))
+		if !f.phase(p.StartRound + ph*phaseLen(f.s)) {
+			break // maximal: sleep through the remaining phases
+		}
 	}
 
 	// Final size agreement.
@@ -234,7 +253,10 @@ func Build(mb *proto.Mailbox, p Params) Result {
 	return Result{Tree: f.tree(), CompID: f.compID, Size: size}
 }
 
-func (f *node) phase(r0 int64) {
+// phase runs one Borůvka phase starting at round r0. It reports whether the
+// component still had an outgoing eligible edge; when it had none, the phase
+// ends right after the min-edge sweep and the component is final.
+func (f *node) phase(r0 int64) bool {
 	mb := f.mb
 	s := f.s
 
@@ -287,13 +309,13 @@ func (f *node) phase(r0 int64) {
 		rv = agg
 	}
 	chosen := proto.SweepDown(mb, f.tree(), f.tag(tagMinDown), r0+s+4, rv, nil).(minVal)
-	f.hasOut = chosen.Valid
+	if !chosen.Valid {
+		return false
+	}
 	f.chosenEdge = -1
-	if chosen.Valid {
-		for i := 0; i < f.deg; i++ {
-			if f.eligible[i] && f.nbComp[i] >= 0 && f.nbComp[i] != f.compID && mb.C.EdgeID(i) == chosen.Edge {
-				f.chosenEdge = i
-			}
+	for i := 0; i < f.deg; i++ {
+		if f.eligible[i] && f.nbComp[i] >= 0 && f.nbComp[i] != f.compID && mb.C.EdgeID(i) == chosen.Edge {
+			f.chosenEdge = i
 		}
 	}
 
@@ -316,7 +338,7 @@ func (f *node) phase(r0 int64) {
 	for t := 0; t < cvIters; t++ {
 		f.cvIter(a4 + int64(t)*(2*s+6))
 	}
-	if f.hasOut && f.color >= numColors {
+	if f.color >= numColors {
 		panic(fmt.Sprintf("forest: node %d: CV color %d out of palette", mb.C.ID(), f.color))
 	}
 
@@ -325,6 +347,7 @@ func (f *node) phase(r0 int64) {
 	for c := int64(0); c < numColors; c++ {
 		f.subStep(c, a5+c*(2*s+6))
 	}
+	return true
 }
 
 // cvIter performs one Cole–Vishkin iteration starting at round b: targets
@@ -341,12 +364,6 @@ func (f *node) cvIter(b int64) {
 			}
 		}
 		mb.SleepUntil(b + 1)
-	}
-	if !f.hasOut {
-		// Static components keep their color; they never move, so their
-		// palette membership is irrelevant (see package comment).
-		mb.Take(f.tag(tagColor))
-		return
 	}
 	var myNew any
 	if f.chosenEdge >= 0 {
@@ -370,9 +387,10 @@ func (f *node) cvIter(b int64) {
 	f.color = proto.SweepDown(mb, f.tree(), f.tag(tagCVDown), b+s+4, rv, nil).(int64)
 }
 
-// cvStep maps (mine, target) to the next color. When the colors coincide
-// (possible only against a static target, which never conflicts), any
-// self-derived bit keeps properness along active pointers.
+// cvStep maps (mine, target) to the next color. Colors along a chooser
+// pointer start distinct (component IDs) and each step keeps them distinct,
+// so equal inputs do not arise; the mine == target branch keeps the map
+// total.
 func cvStep(mine, target int64) int64 {
 	if mine == target {
 		return mine & 1
@@ -392,7 +410,7 @@ func pickNonNil(a, b any) any {
 func (f *node) subStep(c, sc int64) {
 	mb := f.mb
 	s := f.s
-	attempting := f.hasOut && f.color == c
+	attempting := f.color == c
 	chooserNow := attempting && f.chosenEdge >= 0
 
 	if chooserNow || f.nIncoming > 0 {
@@ -405,11 +423,11 @@ func (f *node) subStep(c, sc int64) {
 			switch {
 			case m.Body.(graph.NodeID) == f.compID:
 				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{Verdict: ackSelf})
-			case f.hasOut && f.color == c:
+			case f.color == c:
 				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{Verdict: ackBusy})
 			default:
 				mb.Send(m.NbIndex, f.tag(tagAck), ackBody{
-					Verdict: ackOK, Comp: f.compID, Color: f.color, HasOut: f.hasOut, Depth: f.depth,
+					Verdict: ackOK, Comp: f.compID, Color: f.color, Depth: f.depth,
 				})
 				f.children[m.NbIndex] = true
 				f.stale = true
@@ -509,7 +527,6 @@ func (f *node) subStep(c, sc int64) {
 	}
 	f.compID = body.Adopt.Comp
 	f.color = body.Adopt.Color
-	f.hasOut = body.Adopt.HasOut
 	f.depth = newDepth
 	f.chosenEdge = -1
 	f.stale = true

@@ -2,6 +2,7 @@ package forest
 
 import (
 	"math/bits"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,15 @@ func runForest(t *testing.T, g *graph.Graph, model simnet.Model) ([]Result, simn
 // verifyForest checks every structural property of a spanning forest result.
 func verifyForest(t *testing.T, g *graph.Graph, rs []Result) {
 	t.Helper()
-	comp, k := graph.Components(g)
+	verifyEligibleForest(t, g, g, rs)
+}
+
+// verifyEligibleForest is verifyForest for a run over g restricted to the
+// participant subgraph elig (same nodes, a subset of g's edges): the trees
+// must span elig's components, while parent and child indices refer to g.
+func verifyEligibleForest(t *testing.T, g, elig *graph.Graph, rs []Result) {
+	t.Helper()
+	comp, k := graph.Components(elig)
 	// Component sizes.
 	sizes := make(map[int]int64)
 	for v := range comp {
@@ -257,6 +266,99 @@ func TestDurationIsExact(t *testing.T) {
 	for v, out := range res.Outputs {
 		if out.(int64) != want {
 			t.Fatalf("node %d returned at %v, want %d", v, out, want)
+		}
+	}
+}
+
+// Edge weights marking the participant subgraph in TestForestEarlyExit.
+const (
+	eligibleW   = 2
+	ineligibleW = 3
+)
+
+// earlyExitGraph builds one graph whose eligible (weight eligibleW) edges
+// form components that become maximal in different phases: node 0, an
+// isolated participant; the edge 1–2; a path of s nodes; and a random
+// 64-node component. Ineligible edges tie them into one connected graph. It
+// returns the graph and its participant subgraph.
+func earlyExitGraph(s int) (*graph.Graph, *graph.Graph) {
+	rnd := graph.RandomConnected(64, 64, graph.UnitWeights, 9)
+	path := graph.NodeID(3)
+	r := path + graph.NodeID(s)
+	g := graph.New(int(r) + rnd.N())
+	g.AddEdge(1, 2, eligibleW)
+	for i := path; i < r-1; i++ {
+		g.AddEdge(i, i+1, eligibleW)
+	}
+	for _, e := range rnd.Edges() {
+		g.AddEdge(r+e.U, r+e.V, eligibleW)
+	}
+	g.AddEdge(0, 1, ineligibleW)
+	g.AddEdge(0, path, ineligibleW)
+	g.AddEdge(0, r+5, ineligibleW)
+	g.AddEdge(2, r-1, ineligibleW)
+	g.AddEdge(path+graph.NodeID(s/2), r, ineligibleW)
+	g.SortAdj()
+	elig := graph.New(g.N())
+	for _, e := range g.Edges() {
+		if e.W == eligibleW {
+			elig.AddEdge(e.U, e.V, e.W)
+		}
+	}
+	elig.SortAdj()
+	return g, elig
+}
+
+// TestForestEarlyExit pins the stop rule: a component whose min-edge sweep
+// finds no outgoing edge sleeps through its remaining phases, yet every
+// participant still returns at exactly StartRound + Duration(S) with a
+// maximal spanning forest, in both models and at any worker count.
+func TestForestEarlyExit(t *testing.T) {
+	const s = 64
+	// The isolated participant wakes 4 rounds for one phase's ID exchange
+	// and min-edge sweeps, then 3 for the final size agreement. Running all
+	// Phases(s) = 26 phases cost it 159 (6 per phase, plus the 3).
+	const isolatedAwake = 7
+	g, elig := earlyExitGraph(s)
+	want := Duration(s)
+	for _, model := range []simnet.Model{simnet.Congest, simnet.Sleeping} {
+		var first simnet.Metrics
+		for _, workers := range []int{1, 4} {
+			eng := simnet.New(g, simnet.Config{Model: model, Workers: workers})
+			res, err := eng.Run(func(c *simnet.Ctx) {
+				r := Build(proto.NewMailbox(c), Params{
+					Tag: 1, StartRound: 0, SizeBound: s,
+					Eligible: func(i int) bool { return c.Weight(i) == eligibleW },
+				})
+				c.SetOutput([2]any{r, c.Round()})
+			})
+			if err != nil {
+				t.Fatalf("%v/workers=%d: %v", model, workers, err)
+			}
+			rs := make([]Result, g.N())
+			for v, out := range res.Outputs {
+				o := out.([2]any)
+				rs[v] = o[0].(Result)
+				if o[1].(int64) != want {
+					t.Fatalf("%v/workers=%d: node %d returned at %d, want %d", model, workers, v, o[1], want)
+				}
+			}
+			verifyEligibleForest(t, g, elig, rs)
+			met := res.Metrics
+			if met.LostMessages != 0 {
+				t.Fatalf("%v/workers=%d: lost %d messages", model, workers, met.LostMessages)
+			}
+			if got := met.PerNodeAwake[0]; got != isolatedAwake {
+				t.Fatalf("%v/workers=%d: isolated participant awake %d rounds, want %d", model, workers, got, isolatedAwake)
+			}
+			if a0, a1, aPath := met.PerNodeAwake[0], met.PerNodeAwake[1], met.PerNodeAwake[3]; !(a0 < a1 && a1 < aPath) {
+				t.Fatalf("%v/workers=%d: awake isolated/edge/path = %d/%d/%d, want increasing", model, workers, a0, a1, aPath)
+			}
+			if workers == 1 {
+				first = met
+			} else if !reflect.DeepEqual(first, met) {
+				t.Fatalf("%v: metrics differ across worker counts:\n%+v\n%+v", model, first, met)
+			}
 		}
 	}
 }
