@@ -235,12 +235,34 @@ func mulBelow(a, b int64) (int64, bool) {
 	return int64(lo), hi == 0 && lo < uint64(thresholdLimit)
 }
 
+// InWeightDomain reports whether an n-node instance lies in the engine's
+// weight domain: n·maxW·scale + maxOff·scale + 1 < 2^61, where maxW is the
+// largest edge weight, maxOff the largest source offset, and scale = n+1
+// when some edge weight is zero (Theorem 2.7's rescaling, which also lifts
+// zero weights to 1), else 1. Inside it the start threshold D0 stays below
+// graph.Inf; the products are checked without overflow. This is the one
+// statement of the domain: prepareProblem enforces it, and the serving
+// layer applies it at ingress.
+func InWeightDomain(n int, maxW, maxOff int64, zero bool) bool {
+	scale := int64(1)
+	if zero {
+		scale = int64(n) + 1
+	}
+	w, ok := mulBelow(maxW, scale)
+	if zero {
+		w = max(w, 1)
+	}
+	off, okOff := mulBelow(maxOff, scale)
+	spread, okN := mulBelow(int64(n), w)
+	return ok && okOff && okN && spread+off+1 < thresholdLimit
+}
+
 // prepareProblem validates the sources, applies the Theorem 2.7 zero-weight
 // rescaling, and derives the initial power-of-two threshold D0. It rejects
-// instances outside the weight domain, where n·maxW·scale + maxOff·scale + 1
-// reaches 2^61 and D0 would reach graph.Inf; the rescale and the bound are
-// checked without overflow.
+// instances outside the weight domain (InWeightDomain), where D0 would
+// reach graph.Inf.
 func prepareProblem(g *graph.Graph, srcs []sourceOffset) (problem, error) {
+	var maxOff int64
 	for _, s := range srcs {
 		if s.v < 0 || int(s.v) >= g.N() {
 			return problem{}, simnet.Computef("core: source %d out of range [0,%d)", s.v, g.N())
@@ -248,6 +270,7 @@ func prepareProblem(g *graph.Graph, srcs []sourceOffset) (problem, error) {
 		if s.off < 0 {
 			return problem{}, simnet.Computef("core: negative offset %d at source %d", s.off, s.v)
 		}
+		maxOff = max(maxOff, s.off)
 	}
 	n := int64(g.N())
 	pr := problem{run: g, scale: 1}
@@ -258,21 +281,12 @@ func prepareProblem(g *graph.Graph, srcs []sourceOffset) (problem, error) {
 		}
 	}
 	rawMaxW := g.MaxWeight()
-	maxW, ok := mulBelow(rawMaxW, pr.scale)
-	if pr.scale > 1 {
-		maxW = max(maxW, 1) // zero weights become 1
-	}
-	for _, s := range srcs {
-		off, okOff := mulBelow(s.off, pr.scale)
-		ok = ok && okOff
-		pr.maxOff = max(pr.maxOff, off)
-	}
-	spread, okN := mulBelow(n, maxW)
-	if !ok || !okN || spread+pr.maxOff+1 >= thresholdLimit {
+	if !InWeightDomain(g.N(), rawMaxW, maxOff, pr.scale > 1) {
 		return problem{}, simnet.Computef(
 			"core: weights out of domain: need n·maxW·scale + maxOffset·scale + 1 < 2^61 (n=%d, max weight %d, scale %d)",
 			n, rawMaxW, pr.scale)
 	}
+	pr.maxOff = maxOff * pr.scale
 	if pr.scale > 1 {
 		// Scaling every weight by n+1 (zeros to 1) preserves exact
 		// distances: a shortest path gains less than n+1 from the

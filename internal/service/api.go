@@ -3,7 +3,9 @@ package service
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 
 	"dsssp"
 	"dsssp/internal/core"
@@ -283,7 +285,9 @@ type ErrorResponse struct {
 }
 
 // buildGraph validates a GraphSpec and materializes the graph, bounded by
-// the server's size limits. Inline edge lists are canonicalized (sorted,
+// the server's size limits. A query resolves a generator spec through the
+// same parseGenerator and generator.build, but builds only on a spec-index
+// miss. Inline edge lists are canonicalized (sorted,
 // duplicates merged keep-min) before insertion so the simulation — not
 // just the cache key — is a pure function of the edge set.
 func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
@@ -349,54 +353,119 @@ func buildGraph(spec GraphSpec, maxN, maxEdges int) (*graph.Graph, error) {
 		g.AddEdge(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2])
 	}
 	g.SortAdj()
+	if err := checkWeightDomain(g); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
+// buildGeneratorGraph validates a generator spec and builds its graph.
 func buildGeneratorGraph(spec GraphSpec, maxN int) (*graph.Graph, error) {
+	gen, err := parseGenerator(spec, maxN)
+	if err != nil {
+		return nil, err
+	}
+	return gen.build()
+}
+
+// generator is a generator spec that passed parseGenerator's checks but
+// whose graph is not built yet: resolving a query on a spec-index hit
+// needs only its key, and the graph is built on demand.
+type generator struct{ spec GraphSpec }
+
+// parseGenerator runs a generator spec's cheap checks: everything but the
+// weight domain, which depends on the weights drawn and is judged by build.
+func parseGenerator(spec GraphSpec, maxN int) (generator, error) {
 	if len(spec.Edges) > 0 {
-		return nil, badf("graph.family and graph.edges are mutually exclusive")
+		return generator{}, badf("graph.family and graph.edges are mutually exclusive")
 	}
-	fam := graph.Family(spec.Family)
-	known := false
-	for _, f := range graph.Families() {
-		known = known || f == fam
-	}
-	if !known {
-		return nil, badf("unknown graph family %q (families: %v)", spec.Family, graph.Families())
+	if !slices.Contains(graph.Families(), graph.Family(spec.Family)) {
+		return generator{}, badf("unknown graph family %q (families: %v)", spec.Family, graph.Families())
 	}
 	if spec.N < 4 || spec.N > maxN {
-		return nil, badf("generator graphs need n in [4,%d], got %d", maxN, spec.N)
+		return generator{}, badf("generator graphs need n in [4,%d], got %d", maxN, spec.N)
 	}
-	w := graph.UnitWeights
-	if spec.Weights != nil {
-		if spec.Weights.MaxW > maxWeight(spec.N) {
-			return nil, badf("max_w %d exceeds %d (need (n-1)·max_w < 2^62 at n=%d)", spec.Weights.MaxW, maxWeight(spec.N), spec.N)
+	if ws := spec.Weights; ws != nil {
+		if ws.MaxW > maxWeight(spec.N) {
+			return generator{}, badf("max_w %d exceeds %d (need (n-1)·max_w < 2^62 at n=%d)", ws.MaxW, maxWeight(spec.N), spec.N)
 		}
-		wseed := weightSeed(spec)
-		switch spec.Weights.Kind {
+		switch ws.Kind {
 		case "", "unit":
-		case "uniform":
-			if spec.Weights.MaxW < 1 {
-				return nil, badf("uniform weights need max_w >= 1")
+		case "uniform", "zero-heavy":
+			if ws.MaxW < 1 {
+				return generator{}, badf("%s weights need max_w >= 1", ws.Kind)
 			}
-			w = graph.UniformWeights(spec.Weights.MaxW, wseed)
-		case "zero-heavy":
-			if spec.Weights.MaxW < 1 {
-				return nil, badf("zero-heavy weights need max_w >= 1")
-			}
-			w = graph.ZeroHeavyWeights(spec.Weights.MaxW, wseed)
 		default:
-			return nil, badf("unknown weight kind %q (unit, uniform, zero-heavy)", spec.Weights.Kind)
+			return generator{}, badf("unknown weight kind %q (unit, uniform, zero-heavy)", ws.Kind)
 		}
 	}
-	return graph.Make(fam, spec.N, w, spec.Seed), nil
+	return generator{spec}, nil
+}
+
+// build materializes the spec's graph and rejects it if it falls outside
+// the weight domain. Every call builds the same graph: the seeded WeightFn
+// carries a live RNG, so each build draws from a fresh one.
+func (gen generator) build() (*graph.Graph, error) {
+	spec := gen.spec
+	w := graph.UnitWeights
+	if ws := spec.Weights; ws != nil {
+		switch ws.Kind {
+		case "uniform":
+			w = graph.UniformWeights(ws.MaxW, weightSeed(spec))
+		case "zero-heavy":
+			w = graph.ZeroHeavyWeights(ws.MaxW, weightSeed(spec))
+		}
+	}
+	g := graph.Make(graph.Family(spec.Family), spec.N, w, spec.Seed)
+	if err := checkWeightDomain(g); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// indexKey is the spec's key in the server's spec index: the fields that,
+// under the weightSeed contract, name exactly one graph.
+func (gen generator) indexKey() string {
+	spec := gen.spec
+	var kind string
+	var maxW int64
+	if ws := spec.Weights; ws != nil {
+		kind, maxW = ws.Kind, ws.MaxW
+	}
+	var buf [96]byte
+	b := append(buf[:0], spec.Family...)
+	b = strconv.AppendInt(append(b, '|'), int64(spec.N), 10)
+	b = strconv.AppendInt(append(b, '|'), spec.Seed, 10)
+	b = append(append(b, '|'), kind...)
+	b = strconv.AppendInt(append(b, '|'), maxW, 10)
+	return string(b)
+}
+
+// checkWeightDomain rejects, as the client's error, a graph the engine
+// would refuse (core.InWeightDomain); queries start every source at offset
+// 0.
+func checkWeightDomain(g *graph.Graph) error {
+	var maxW int64
+	zero := false
+	for u := range g.N() {
+		for _, h := range g.Adj(graph.NodeID(u)) {
+			maxW = max(maxW, h.W)
+			zero = zero || h.W == 0
+		}
+	}
+	if core.InWeightDomain(g.N(), maxW, 0, zero) {
+		return nil
+	}
+	return badf("graph weights out of domain: need n·maxW·scale + 1 < 2^61, scale = n+1 when a weight is 0 (n=%d, max weight %d, zero weight %v)", g.N(), maxW, zero)
 }
 
 // maxWeight is the largest edge weight an n-node graph accepts at the
-// service's ingress: a shortest path has at most n-1 edges, so
-// (n-1)·w < graph.Inf keeps every finite distance below the +Inf sentinel
-// (2^62). Heavier weights overflow the algorithms' arithmetic, which the
-// library does not check.
+// service's ingress, checked per weight: a shortest path has at most n-1
+// edges, so (n-1)·w < graph.Inf keeps every finite distance below the +Inf
+// sentinel (2^62). It is a necessary bound only. The exact domain
+// (checkWeightDomain) is judged on whole graphs: inline ones when parsed,
+// generator ones when built; a PATCHed revision outside it is rejected by
+// the engine with a ComputeError at query time.
 func maxWeight(n int) int64 { return (graph.Inf - 1) / int64(max(n-1, 1)) }
 
 // weightSeed derives a generator spec's weight-stream seed. The spec-seed

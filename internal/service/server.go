@@ -3,13 +3,14 @@
 // Its core is one query path. /v1/sssp, /v1/path and /v1/apsp each decode
 // a request and project a response; everything between goes through
 // serveQuery: resolve the graph (inline, generator spec, or a registered
-// handle), range-check the named nodes, key the request, and serve it from
-// a content-addressed result cache in front of a bounded worker pool. A
-// miss is answered per source, the way the paper builds APSP from
-// independent SSSP instances. On a registered graph, each source comes
-// from a row already traced at this revision, from affected-region repair
-// of a stale trace, or from the engine (runEngine). Answers are recorded
-// back into the registry so the next PATCH can classify them. The
+// handle; a generator spec seen before resolves through the spec index
+// without being built), range-check the named nodes, key the request, and
+// serve it from a content-addressed result cache in front of a bounded
+// worker pool. A miss is answered per source, the way the paper builds
+// APSP from independent SSSP instances. On a registered graph, each source
+// comes from a row already traced at this revision, from affected-region
+// repair of a stale trace, or from the engine (runEngine). Answers are
+// recorded back into the registry so the next PATCH can classify them. The
 // determinism the bench harness guarantees is what makes this sound: a
 // query result is a pure function of (canonical graph, options), so cached
 // bytes are indistinguishable from recomputation.
@@ -23,6 +24,7 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -158,6 +160,7 @@ func (c *Config) applyDefaults() {
 type Server struct {
 	cfg      Config
 	cache    *Cache
+	specs    *Cache // the spec index (see resolveGenerator)
 	registry *GraphRegistry
 	querySem chan struct{}
 	mux      *http.ServeMux
@@ -191,6 +194,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		cache:    cache,
+		specs:    NewCache(specIndexBytes),
 		registry: registry,
 		querySem: make(chan struct{}, cfg.Workers),
 		mux:      http.NewServeMux(),
@@ -331,16 +335,19 @@ func wantTrace(r *http.Request) bool {
 	return false
 }
 
-// query is one resolved query request: the graph, its digest (the cache
-// key's graph half), the engine options, the registered graph's handle
-// ("" for inline and generator specs), the cache key's request half, and
-// whether the response carries the per-phase breakdown. A registered
-// graph resolves to its immutable head snapshot, so a PATCH landing
-// mid-computation cannot change the answer. On a miss, reused and
+// query is one resolved query request: the graph, its node count and
+// digest (the cache key's graph half), the generator that builds the graph
+// when a spec-index hit left g nil, the engine options, the registered
+// graph's handle ("" for inline and generator specs), the cache key's
+// request half, and whether the response carries the per-phase breakdown.
+// A registered graph resolves to its immutable head snapshot, so a PATCH
+// landing mid-computation cannot change the answer. On a miss, reused and
 // recomputed tally how the sources were served (tryRepair counts repairs).
 type query struct {
 	g       *graph.Graph
+	n       int
 	digest  [32]byte
+	gen     generator
 	opts    *dsssp.Options
 	graphID string
 	parts   string
@@ -374,8 +381,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 		return
 	}
 	for i, id := range nodes {
-		if id < 0 || id >= int64(q.g.N()) {
-			s.replyError(w, badf("%s %d out of range [0,%d)", [...]string{"source", "target"}[i], id, q.g.N()))
+		if id < 0 || id >= int64(q.n) {
+			s.replyError(w, badf("%s %d out of range [0,%d)", [...]string{"source", "target"}[i], id, q.n))
 			return
 		}
 	}
@@ -403,9 +410,19 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 			return nil, false, r.Context().Err()
 		}
 		// The miss works on its own copy of the query, so that a hit, which
-		// never reaches here, does not pay for moving q to the heap.
+		// never reaches here, does not pay for moving q to the heap. A
+		// spec-index hit resolved no graph: build it now.
 		mq := q
 		execSp := root.StartChild("exec")
+		if mq.g == nil {
+			g, err := mq.gen.build()
+			if err != nil {
+				execSp.SetError(err.Error())
+				execSp.End()
+				return nil, false, err
+			}
+			mq.g = g
+		}
 		b, cacheable, err := project(&mq, execSp)
 		q.reused, q.recomputed = mq.reused, mq.recomputed
 		if err != nil {
@@ -435,7 +452,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind string,
 	if hit {
 		q.reused = 1
 		if len(nodes) == 0 {
-			q.reused = q.g.N()
+			q.reused = q.n
 		}
 	}
 	s.metrics.incrSourcesReused.Add(int64(q.reused))
@@ -703,7 +720,8 @@ func (s *Server) tryRepair(sp *trace.Span, q *query, src graph.NodeID) *incr.Rep
 // bodies are migrated verbatim across revisions on PATCH, so a body-borne
 // revision number would go stale the moment an entry is carried forward.
 // A sampled request gets a graph.resolve span recording where the graph
-// came from (registry / inline / generator) and its size.
+// came from (registry / inline / generator), its size, and whether this
+// request built it (built=false on a registered graph or a spec-index hit).
 func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec, qo QueryOptions) (query, bool) {
 	sp := trace.FromContext(r.Context()).StartChild("graph.resolve")
 	fail := func(err error) (query, bool) {
@@ -717,7 +735,8 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec,
 		return fail(err)
 	}
 	q := query{opts: opts, phases: qo.RecordPhases}
-	if spec.ID != "" {
+	switch {
+	case spec.ID != "":
 		if spec.N != 0 || len(spec.Edges) > 0 || spec.Family != "" || spec.Seed != 0 || spec.Weights != nil {
 			return fail(badf("graph.graph_id is mutually exclusive with inline and generator fields"))
 		}
@@ -730,24 +749,64 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, spec GraphSpec,
 		sp.SetAttr("source", "registry")
 		sp.SetAttr("graph_id", spec.ID)
 		sp.SetAttr("revision", rev)
-		sp.SetAttr("n", g.N())
-		sp.End()
-		q.g, q.digest, q.graphID = g, digest, spec.ID
-		return q, true
-	}
-	g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
-	if err != nil {
-		return fail(err)
-	}
-	if spec.Family != "" {
+		q.g, q.n, q.digest, q.graphID = g, g.N(), digest, spec.ID
+	case spec.Family != "":
+		gen, err := parseGenerator(spec, s.cfg.MaxN)
+		if err != nil {
+			return fail(err)
+		}
+		q.gen = gen
+		if err := s.resolveGenerator(&q); err != nil {
+			return fail(err)
+		}
 		sp.SetAttr("source", "generator")
-	} else {
+	default:
+		g, err := buildGraph(spec, s.cfg.MaxN, s.cfg.MaxEdges)
+		if err != nil {
+			return fail(err)
+		}
 		sp.SetAttr("source", "inline")
+		q.g, q.n, q.digest = g, g.N(), canonicalGraphDigest(g)
 	}
-	sp.SetAttr("n", g.N())
+	if sp != nil { // boxing n allocates once n >= 256, even on a nil span
+		sp.SetAttr("n", q.n)
+		sp.SetAttr("built", q.g != nil && q.graphID == "")
+	}
 	sp.End()
-	q.g, q.digest = g, canonicalGraphDigest(g)
 	return q, true
+}
+
+// specIndexBytes is the spec index's byte budget. An entry is charged about
+// 200 bytes (key, digest, node count and the cache's per-entry overhead),
+// so 1 MiB remembers about 5k generator specs.
+const specIndexBytes = 1 << 20
+
+// resolveGenerator fills in a generator query's digest and node count from
+// the spec index, which maps each spec (generator.indexKey) to its graph's
+// canonicalGraphDigest and node count. Cache keys are therefore the same
+// as if the graph had been built and hashed, but a hit builds nothing: q.g
+// stays nil until an answer miss needs it. An index miss builds the graph
+// (keeping it in q.g), checks its weight domain, and records it; concurrent
+// misses on one spec build once, and a spec outside the domain is never
+// recorded. The index stores no graphs.
+func (s *Server) resolveGenerator(q *query) error {
+	var g *graph.Graph
+	entry, _, err := s.specs.getOrCompute(q.gen.indexKey(), func() ([]byte, bool, error) {
+		built, err := q.gen.build()
+		if err != nil {
+			return nil, false, err
+		}
+		g = built
+		d := canonicalGraphDigest(g)
+		return binary.LittleEndian.AppendUint64(d[:], uint64(g.N())), true, nil
+	})
+	if err != nil {
+		return err
+	}
+	q.g = g
+	copy(q.digest[:], entry)
+	q.n = int(binary.LittleEndian.Uint64(entry[len(q.digest):]))
+	return nil
 }
 
 // --- dynamic-graph endpoints ---

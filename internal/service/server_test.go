@@ -94,7 +94,8 @@ func TestBadInputsAre4xxJSON(t *testing.T) {
 		{"apsp-max-rounds", "POST", "/v1/apsp", `{"graph":{"family":"path","n":8},"options":{"max_rounds":3}}`, 422, "exceeded MaxRounds=3"},
 		{"edge-weight-overflow", "POST", "/v1/sssp", `{"graph":{"n":3,"edges":[[0,1,2305843009213693952],[1,2,2305843009213693952]]}}`, 400, "edge 0: weight 2305843009213693952 exceeds 2305843009213693951"},
 		{"max-w-overflow", "POST", "/v1/sssp", `{"graph":{"family":"random","n":8,"weights":{"kind":"uniform","max_w":1000000000000000000}}}`, 400, "max_w 1000000000000000000 exceeds"},
-		{"threshold-overflow", "POST", "/v1/sssp", `{"graph":{"n":3,"edges":[[0,1,1537228672809129300],[1,2,1]]}}`, 422, "core: weights out of domain"},
+		{"threshold-overflow", "POST", "/v1/sssp", `{"graph":{"n":3,"edges":[[0,1,1537228672809129300],[1,2,1]]}}`, 400, "graph weights out of domain"},
+		{"threshold-overflow-zero-weight", "POST", "/v1/sssp", `{"graph":{"n":3,"edges":[[0,1,768614336404564650],[1,2,0]]}}`, 400, "zero weight true"},
 		{"patch-weight-overflow", "PATCH", "/v1/graphs/" + info.ID + "/edges", `{"deltas":[{"op":"reweight","u":0,"v":2,"w":2305843009213693952}]}`, 400, "delta 0: weight 2305843009213693952 exceeds"},
 	}
 	for _, tc := range cases {
