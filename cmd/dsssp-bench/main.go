@@ -19,17 +19,14 @@
 //	dsssp-bench -quick -json BENCH_quick.json # machine-readable report
 //	dsssp-bench -markdown EXPERIMENTS.md      # regenerate the tables
 //	dsssp-bench -breakdown BREAKDOWN.md       # per-phase round breakdowns
-//	dsssp-bench -quick -perf -parallel 1      # + wall_ns/allocs sidecar
 //	dsssp-bench -quick -cpuprofile cpu.pprof  # profile a sweep's hot spots
 //	dsssp-bench -quick -memprofile mem.pprof  # heap profile on exit
 //
 // Reports are deterministic, so cmd/dsssp-diff can gate regressions by
 // comparing two of them (CI diffs each PR's quick report against the
-// checked-in baseline under internal/benchdiff/testdata). The -perf flag
-// adds a per-scenario wall-time/allocation sidecar on top — machine-
-// dependent by design, ignored by the diff gate — so BENCH_*.json carries
-// a perf trajectory across PRs; -quick also prints the sweep's total wall
-// time and scenarios/sec to stderr.
+// checked-in baseline under internal/benchdiff/testdata). Wall time and
+// allocations are perfbench's job; -quick only prints the sweep's total
+// wall time and scenarios/sec to stderr.
 package main
 
 import (
@@ -58,7 +55,6 @@ func main() {
 		breakdown  = flag.String("breakdown", "", "write the per-phase round breakdown markdown to this file ('-' for stdout)")
 		list       = flag.Bool("list", false, "list scenario names and exit")
 		quiet      = flag.Bool("q", false, "suppress the per-scenario summary")
-		perf       = flag.Bool("perf", false, "attach the wall-time/allocation sidecar to every result (allocations need -parallel 1; model metrics stay byte-identical)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file (chase phase hot spots found in -breakdown)")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile on exit to this file (pairs with -cpuprofile; chase allocation hot spots)")
 	)
@@ -95,7 +91,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opt := harness.RunOptions{Parallel: *parallel, IntraWorkers: *intra, Perf: *perf}
+	opt := harness.RunOptions{Parallel: *parallel, IntraWorkers: *intra}
 	if !*quiet {
 		opt.Progress = func(done, total int, r harness.Result) {
 			status := "ok"
@@ -146,22 +142,12 @@ func main() {
 	}
 	elapsed := time.Since(sweepStart)
 	if *quick {
-		// Local quick runs are how speedups get eyeballed; surface the
-		// sweep's wall time without making anyone open the JSON.
+		// The quick sweep's wall time is an end-to-end number worth
+		// eyeballing; it goes to stderr only, so reports stay deterministic.
 		fmt.Fprintf(os.Stderr, "quick sweep: %d scenarios in %s (%.1f scenarios/sec)\n",
 			len(results), elapsed.Round(time.Millisecond), float64(len(results))/elapsed.Seconds())
 	}
 	rep := harness.BuildReport("default", *quick, results)
-	if *perf {
-		// The stderr line above vanishes with the terminal; the perf block
-		// keeps the sweep-level trajectory in the JSON artifact alongside
-		// the per-scenario sidecars (and is ignored by diff gating, like
-		// them).
-		rep.Perf = &harness.SweepPerf{
-			WallNS:          elapsed.Nanoseconds(),
-			ScenariosPerSec: float64(len(results)) / elapsed.Seconds(),
-		}
-	}
 
 	if *jsonOut != "" {
 		if err := writeTo(*jsonOut, func(f *os.File) error { return harness.WriteJSON(f, rep) }); err != nil {

@@ -15,14 +15,10 @@
 //	dsssp-diff -all old.json new.json             # include unchanged rows
 //	dsssp-diff -json - old.json new.json          # machine-readable diff
 //	dsssp-diff a.json b.json c.json               # chain: a→b, then b→c
-//	dsssp-diff -trend trend.md a.json b.json c.json  # + ratio time series
 //
-// A chain writes one labeled markdown section per pair; -json emits a
-// single Diff object for one pair and a JSON array for a chain. -trend
-// renders the whole chain as one history-aware table — per-scenario and
-// per-phase measured/envelope ratio series with end-to-end drift. It is
-// the repo's only trend view: keep the BENCH_*.json reports dsssp-bench
-// writes and chain them here.
+// A chain gates every consecutive pair and writes one labeled markdown
+// section per pair; -json emits a single Diff object for one pair and a
+// JSON array for a chain.
 //
 // Exit status: 0 when every comparison passes, 1 on a regression, 2 on a
 // usage or input error.
@@ -48,7 +44,6 @@ func main() {
 		showAll       = flag.Bool("all", false, "list unchanged scenarios too")
 		jsonOut       = flag.String("json", "", "write the machine-readable diff to this file ('-' for stdout)")
 		mdOut         = flag.String("markdown", "-", "write the delta table to this file ('-' for stdout, '' to suppress)")
-		trendOut      = flag.String("trend", "", "write the chain's trend table (ratio time series over all reports) to this file ('-' for stdout)")
 		quiet         = flag.Bool("q", false, "suppress the delta table (same as -markdown '')")
 	)
 	flag.Parse()
@@ -91,16 +86,12 @@ func main() {
 	// objects, and a chained -markdown target gets a labeled section per
 	// pair.
 	diffs := make([]benchdiff.Diff, 0, len(paths)-1)
-	ok := true
 	for i := 0; i+1 < len(paths); i++ {
 		diff, err := benchdiff.Compare(reports[i], reports[i+1], th)
 		if err != nil {
 			die(2, fmt.Errorf("%s vs %s: %w", paths[i], paths[i+1], err))
 		}
 		diffs = append(diffs, diff)
-		if !diff.OK {
-			ok = false
-		}
 	}
 
 	if !*quiet && *mdOut != "" {
@@ -118,20 +109,6 @@ func main() {
 			die(2, err)
 		}
 	}
-	if *trendOut != "" {
-		// The trend is the thin chaining view: the same reports, rendered
-		// as ratio time series instead of pairwise deltas. Report paths
-		// double as the column labels.
-		trend, err := benchdiff.Chain(reports, paths, th)
-		if err != nil {
-			die(2, err)
-		}
-		if err := writeTo(*trendOut, func(f *os.File) error {
-			return benchdiff.WriteTrendMarkdown(f, trend)
-		}); err != nil {
-			die(2, err)
-		}
-	}
 	if *jsonOut != "" {
 		if err := writeTo(*jsonOut, func(f *os.File) error {
 			if len(diffs) == 1 {
@@ -144,8 +121,10 @@ func main() {
 			die(2, err)
 		}
 	}
+	ok := true
 	for i, diff := range diffs {
 		if !diff.OK {
+			ok = false
 			fmt.Fprintf(os.Stderr, "dsssp-diff: %d scenario(s) regressed between %s and %s\n",
 				diff.Regressed, paths[i], paths[i+1])
 		}

@@ -90,7 +90,7 @@ func Dijkstra(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, err
 		if isRoot0 {
 			rv = agg0
 		}
-		maxDepth := proto.SweepDown(mb, tree, tagDepth+1, 3*n+7, rv, nil).(int64)
+		maxDepth := proto.SweepDown(mb, tree, tagDepth+1, 3*n+7, rv).(int64)
 
 		dist := graph.Inf
 		if c.ID() == source {
@@ -118,7 +118,7 @@ func Dijkstra(g *graph.Graph, source graph.NodeID) ([]int64, simnet.Metrics, err
 			if isRoot {
 				rootVal = agg
 			}
-			winner := proto.SweepDown(mb, tree, tag+1, t0+maxDepth+1, rootVal, nil).(djMin)
+			winner := proto.SweepDown(mb, tree, tag+1, t0+maxDepth+1, rootVal).(djMin)
 			if winner.Dist == graph.Inf {
 				break // all reachable nodes visited
 			}

@@ -7,10 +7,8 @@
 // Because harness reports are deterministic — same scenario list ⇒ byte-
 // identical results on any machine at any parallelism — every non-zero
 // delta is a real behavior change, not noise; the thresholds only decide
-// which changes are large enough to block a merge. The one exception is
-// the opt-in perf sidecar (harness.Result.Perf, wall_ns/allocs): it is
-// machine-dependent by design and deliberately excluded from comparison
-// and gating, so perf-annotated reports diff clean against plain ones.
+// which changes are large enough to block a merge. Wall time is not
+// compared here: perfbench measures it.
 package benchdiff
 
 import (
@@ -239,15 +237,12 @@ func compareOne(or, nr harness.Result, th Thresholds) Delta {
 		oldEnv   int64
 		newEnv   int64
 	}
-	var metrics []metricPair
-	// The enveloped (gateable) metrics come from the shared vocabulary the
-	// trend chain uses too, so pairwise gating and N-report series can
-	// never drift apart.
-	oldEnv, newEnv := envelopedMetrics(or), envelopedMetrics(nr)
-	for i := range oldEnv {
-		metrics = append(metrics, metricPair{oldEnv[i].name, oldEnv[i].value, newEnv[i].value, oldEnv[i].env, newEnv[i].env})
-	}
-	metrics = append(metrics, []metricPair{
+	metrics := []metricPair{
+		// The enveloped (gateable) metrics, in render order.
+		{"rounds", or.Rounds, nr.Rounds, or.Envelope.Rounds, nr.Envelope.Rounds},
+		{"congestion", or.MaxEdgeMessages, nr.MaxEdgeMessages, or.Envelope.Congestion, nr.Envelope.Congestion},
+		{"awake", or.MaxAwake, nr.MaxAwake, or.Envelope.MaxAwake, nr.Envelope.MaxAwake},
+		{"bits", or.MaxMessageBits, nr.MaxMessageBits, or.Envelope.MessageBits, nr.Envelope.MessageBits},
 		{"messages", or.Messages, nr.Messages, 0, 0},
 		// Un-enveloped metrics still participate in change detection, so a
 		// drifted baseline is flagged (and TestBaselineCurrent forces a
@@ -262,7 +257,7 @@ func compareOne(or, nr harness.Result, th Thresholds) Delta {
 		{"makespan_aligned", or.MakespanAligned, nr.MakespanAligned, 0, 0},
 		{"makespan_random", or.MakespanRandom, nr.MakespanRandom, 0, 0},
 		{"makespan_sequential", or.MakespanSequential, nr.MakespanSequential, 0, 0},
-	}...)
+	}
 	anyChange := false
 	for _, m := range metrics {
 		if m.old == 0 && m.new == 0 {

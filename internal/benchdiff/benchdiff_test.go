@@ -250,27 +250,3 @@ func TestCompareBitsRatio(t *testing.T) {
 		t.Fatalf("missing bits reason: %+v", d.Deltas[0].Reasons)
 	}
 }
-
-// TestComparePerfSidecarIgnored: the wall-time/allocation sidecar is
-// machine-dependent, so a report annotated with -perf must diff as
-// unchanged against the plain baseline — and perf drift must never gate.
-func TestComparePerfSidecarIgnored(t *testing.T) {
-	old := report(res("a", 1000, 10000))
-	annotated := res("a", 1000, 10000)
-	annotated.Perf = &harness.Perf{WallNS: 123456789, Allocs: 42, AllocBytes: 4096}
-	d, err := Compare(old, report(annotated), DefaultThresholds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.OK || d.Unchanged != 1 || d.Changed+d.Regressed != 0 {
-		t.Fatalf("perf sidecar leaked into the diff: %+v", d)
-	}
-	// And in the other direction (baseline has perf, new run does not).
-	d, err = Compare(report(annotated), old, DefaultThresholds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.OK || d.Unchanged != 1 {
-		t.Fatalf("perf sidecar removal gated: %+v", d)
-	}
-}

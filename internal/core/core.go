@@ -59,9 +59,8 @@ type Options struct {
 	// round/message/awake/bit breakdown (an exact partition of the run's
 	// totals). Opt-in, like trace recording: the ledger costs a little
 	// bookkeeping in the engine's hot loop. The harness always enables it
-	// (its reports carry the breakdown, so its perf sidecars measure the
-	// instrumented engine); leave it off in micro-benchmarks that want the
-	// bare engine.
+	// (its reports carry the breakdown); leave it off in micro-benchmarks
+	// that want the bare engine.
 	RecordPhases bool
 	// Workers sets the engine's intra-round worker pool (simnet's
 	// Config.Workers): 0 or 1 runs the simulation sequentially, larger

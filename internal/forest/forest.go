@@ -248,7 +248,7 @@ func Build(mb *proto.Mailbox, p Params) Result {
 	if isRoot {
 		rv = agg
 	}
-	size := proto.SweepDown(mb, f.tree(), f.tag(tagSizeDown), fin+f.s+2, rv, nil).(int64)
+	size := proto.SweepDown(mb, f.tree(), f.tag(tagSizeDown), fin+f.s+2, rv).(int64)
 	mb.AdvanceTo(p.StartRound + Duration(f.s))
 	return Result{Tree: f.tree(), CompID: f.compID, Size: size}
 }
@@ -308,7 +308,7 @@ func (f *node) phase(r0 int64) bool {
 	if isRoot {
 		rv = agg
 	}
-	chosen := proto.SweepDown(mb, f.tree(), f.tag(tagMinDown), r0+s+4, rv, nil).(minVal)
+	chosen := proto.SweepDown(mb, f.tree(), f.tag(tagMinDown), r0+s+4, rv).(minVal)
 	if !chosen.Valid {
 		return false
 	}
@@ -384,7 +384,7 @@ func (f *node) cvIter(b int64) {
 	if isRoot {
 		rv = up
 	}
-	f.color = proto.SweepDown(mb, f.tree(), f.tag(tagCVDown), b+s+4, rv, nil).(int64)
+	f.color = proto.SweepDown(mb, f.tree(), f.tag(tagCVDown), b+s+4, rv).(int64)
 }
 
 // cvStep maps (mine, target) to the next color. Colors along a chooser

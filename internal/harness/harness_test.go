@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -272,12 +273,35 @@ func TestReportRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
+	encoded := bytes.Clone(buf.Bytes())
 	back, err := ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Scenarios != rep.Scenarios || back.Failures != rep.Failures || len(back.Results) != len(rep.Results) {
 		t.Fatalf("round trip changed the report: %+v vs %+v", back, rep)
+	}
+	// A v3 report written while the retired wall-time sidecar existed
+	// carries `perf` blocks per result and per sweep; it must still load,
+	// with every model field as it was.
+	var raw map[string]any
+	if err := json.Unmarshal(encoded, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["perf"] = map[string]any{"wall_ns": 5200000000, "scenarios_per_sec": 8.8}
+	for _, r := range raw["results"].([]any) {
+		r.(map[string]any)["perf"] = map[string]any{"wall_ns": 123456789, "allocs": 42, "alloc_bytes": 4096}
+	}
+	old, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromOld, err := ReadJSON(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("perf-annotated v3 report rejected: %v", err)
+	}
+	if !reflect.DeepEqual(fromOld, back) {
+		t.Fatalf("perf-annotated report decoded differently:\nold:   %+v\nplain: %+v", fromOld, back)
 	}
 	var md bytes.Buffer
 	if err := WriteMarkdown(&md, rep); err != nil {
@@ -348,55 +372,5 @@ func TestAPSPInnerPoolDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("inner pool changed the result:\nseq: %+v\npar: %+v", seq, par)
-	}
-}
-
-// TestPerfSidecarKeepsMetricsIdentical runs the same scenarios with and
-// without RunOptions.Perf and asserts the model-level results are exactly
-// equal — the sidecar must only add wall_ns/allocs, never perturb the
-// deterministic fields — and that allocations are measured only at
-// Parallel == 1.
-func TestPerfSidecarKeepsMetricsIdentical(t *testing.T) {
-	scns, err := Default(true).Select([]string{"congest-bfs/*", "congest-bellman-ford/random/*"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scns) == 0 {
-		t.Fatal("empty selection")
-	}
-	plain, err := Run(context.Background(), scns, RunOptions{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perf, err := Run(context.Background(), scns, RunOptions{Parallel: 1, Perf: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		p := perf[i]
-		if p.Perf == nil {
-			t.Fatalf("%s: missing perf sidecar", p.Scenario)
-		}
-		if p.Perf.WallNS <= 0 || p.Perf.Allocs <= 0 {
-			t.Fatalf("%s: implausible perf sidecar %+v", p.Scenario, p.Perf)
-		}
-		p.Perf = nil
-		if !reflect.DeepEqual(plain[i], p) {
-			t.Fatalf("%s: perf run perturbed model metrics:\nplain: %+v\nperf:  %+v", p.Scenario, plain[i], p)
-		}
-	}
-	// Parallel > 1: wall time only; the global allocation counters cannot
-	// be attributed to a single scenario.
-	wide, err := Run(context.Background(), scns, RunOptions{Parallel: 4, Perf: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range wide {
-		if r.Perf == nil || r.Perf.WallNS <= 0 {
-			t.Fatalf("%s: missing wall time at Parallel=4: %+v", r.Scenario, r.Perf)
-		}
-		if r.Perf.Allocs != 0 || r.Perf.AllocBytes != 0 {
-			t.Fatalf("%s: allocs reported under concurrency: %+v", r.Scenario, r.Perf)
-		}
 	}
 }

@@ -50,27 +50,58 @@ func TestTraceparentParseValid(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are headers ParseTraceparent must reject; they
+// also seed FuzzParseTraceparent.
+var malformedTraceparents = []string{
+	"",
+	"00",
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",     // missing flags
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-1",   // short flags
+	"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",  // uppercase hex
+	"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",  // uppercase span
+	"00-00000000000000000000000000000000-b7ad6b7169203331-01",  // zero trace ID
+	"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",  // zero span ID
+	"00-0af7651916cd43dd8448eb211c80319g-b7ad6b7169203331-01",  // non-hex
+	"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // forbidden version
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01x", // version-00 trailing junk
+	"0x-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // non-hex version
+	"00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // wrong separator
+}
+
 func TestTraceparentParseMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",     // missing flags
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-1",   // short flags
-		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",  // uppercase hex
-		"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",  // uppercase span
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",  // zero trace ID
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",  // zero span ID
-		"00-0af7651916cd43dd8448eb211c80319g-b7ad6b7169203331-01",  // non-hex
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // forbidden version
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01x", // version-00 trailing junk
-		"0x-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // non-hex version
-		"00_0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // wrong separator
-	}
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted, want reject", h)
 		}
 	}
+}
+
+// FuzzParseTraceparent: the parser never panics, and every header it
+// accepts yields a valid context whose own version-00 rendering re-parses
+// to the same context. The malformed list seeds it here; the accepted
+// headers (sampled, unsampled, a later version with a suffix, other flag
+// bits) and the version boundary cases live in
+// testdata/fuzz/FuzzParseTraceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		c, ok := ParseTraceparent(h)
+		if !ok {
+			if c != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned %+v", h, c)
+			}
+			return
+		}
+		if !c.Valid() {
+			t.Fatalf("accepted %q with invalid context %+v", h, c)
+		}
+		again, ok := ParseTraceparent(c.Traceparent())
+		if !ok || again != c {
+			t.Fatalf("%q: rendering %q re-parsed to %+v (ok=%v), want %+v", h, c.Traceparent(), again, ok, c)
+		}
+	})
 }
 
 func TestMintIDsUnique(t *testing.T) {

@@ -261,17 +261,6 @@ func BroadcastDown(m *Mailbox, t Tree, tag uint64, rootVal any, deadline int64) 
 	return val
 }
 
-// AggregateBroadcast runs AggregateUp then BroadcastDown of the aggregate,
-// so every tree node learns the tree-wide aggregate.
-func AggregateBroadcast(m *Mailbox, t Tree, tag uint64, mine any, combine Combine, deadline int64) any {
-	agg, isRoot := AggregateUp(m, t, tag, mine, combine, deadline)
-	var rootVal any
-	if isRoot {
-		rootVal = agg
-	}
-	return BroadcastDown(m, t, tag+1, rootVal, deadline)
-}
-
 // Barrier implements the paper's component synchronization (Section 2.3,
 // step 4): each node enters when it is locally done; the root picks a common
 // start round sizeBound+slack ahead and broadcasts it; every node sleeps
@@ -327,11 +316,9 @@ func SweepUp(m *Mailbox, t Tree, tag uint64, windowStart, depthBound int64, mine
 
 // SweepDown performs a one-shot depth-indexed broadcast in the window
 // starting at windowStart: the node at depth d receives in round
-// windowStart+d-1 and sends to its children in round windowStart+d. The
-// transform hook (optional) rewrites the value as it descends: it receives
-// the value from the parent and returns the value to forward. Every node
-// returns its (possibly transformed) value; at most 2 awake rounds per node.
-func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, transform func(any) any) any {
+// windowStart+d-1 and sends to its children in round windowStart+d. Every
+// node returns the root's value; at most 2 awake rounds per node.
+func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any) any {
 	if !t.InTree {
 		return nil
 	}
@@ -347,9 +334,6 @@ func SweepDown(m *Mailbox, t Tree, tag uint64, windowStart int64, rootVal any, t
 		val = msgs[0].Body
 	} else {
 		m.AdvanceTo(windowStart)
-	}
-	if transform != nil {
-		val = transform(val)
 	}
 	for _, ch := range t.Children {
 		m.Send(ch, tag, val)

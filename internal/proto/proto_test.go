@@ -51,26 +51,6 @@ func pathParents(n int) []graph.NodeID {
 
 func sum(a, b any) any { return a.(int64) + b.(int64) }
 
-func TestAggregateBroadcastSum(t *testing.T) {
-	g := graph.Path(7, graph.UnitWeights)
-	tv := testTree(g, pathParents(7))
-	e := simnet.New(g, simnet.Config{Model: simnet.Congest})
-	res, err := e.Run(func(c *simnet.Ctx) {
-		m := NewMailbox(c)
-		total := AggregateBroadcast(m, tv(c), 10, int64(c.ID()), sum, -1)
-		c.SetOutput(total)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(0 + 1 + 2 + 3 + 4 + 5 + 6)
-	for v, out := range res.Outputs {
-		if out.(int64) != want {
-			t.Fatalf("node %d got %v, want %d", v, out, want)
-		}
-	}
-}
-
 func TestAggregateUpRootOnly(t *testing.T) {
 	g := graph.Star(5, graph.UnitWeights)
 	parent := []graph.NodeID{0, 0, 0, 0, 0}
@@ -140,7 +120,7 @@ func TestSweepUpDownSleeping(t *testing.T) {
 			}
 			rootVal = int64(100)
 		}
-		down := SweepDown(m, tr, 31, windowStart+depthBound+1, rootVal, nil)
+		down := SweepDown(m, tr, 31, windowStart+depthBound+1, rootVal)
 		c.SetOutput(down)
 	})
 	if err != nil {
@@ -157,32 +137,6 @@ func TestSweepUpDownSleeping(t *testing.T) {
 	}
 	if res.Metrics.LostMessages != 0 {
 		t.Fatalf("sweeps lost %d messages", res.Metrics.LostMessages)
-	}
-}
-
-func TestSweepDownTransform(t *testing.T) {
-	// Depth rebasing: each hop adds 1 to the value, so node at depth d
-	// receives base+d.
-	g := graph.Path(5, graph.UnitWeights)
-	tv := testTree(g, pathParents(5))
-	e := simnet.New(g, simnet.Config{Model: simnet.Sleeping})
-	res, err := e.Run(func(c *simnet.Ctx) {
-		m := NewMailbox(c)
-		tr := tv(c)
-		var rootVal any
-		if tr.Parent < 0 {
-			rootVal = int64(40)
-		}
-		v := SweepDown(m, tr, 9, 3, rootVal, func(x any) any { return x.(int64) + 1 })
-		c.SetOutput(v)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, out := range res.Outputs {
-		if out.(int64) != int64(41+v) {
-			t.Fatalf("node %d got %v, want %d", v, out, 41+v)
-		}
 	}
 }
 
@@ -284,7 +238,7 @@ func TestSweepSingleton(t *testing.T) {
 		if !isRoot || agg.(int64) != 7 {
 			t.Errorf("singleton sweep: %v %v", agg, isRoot)
 		}
-		v := SweepDown(m, tr, 2, 7, int64(9), nil)
+		v := SweepDown(m, tr, 2, 7, int64(9))
 		c.SetOutput(v)
 	})
 	if err != nil {

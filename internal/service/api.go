@@ -464,8 +464,7 @@ func checkWeightDomain(g *graph.Graph) error {
 // edges, so (n-1)·w < graph.Inf keeps every finite distance below the +Inf
 // sentinel (2^62). It is a necessary bound only. The exact domain
 // (checkWeightDomain) is judged on whole graphs: inline ones when parsed,
-// generator ones when built; a PATCHed revision outside it is rejected by
-// the engine with a ComputeError at query time.
+// generator ones when built, PATCHed revisions before they are committed.
 func maxWeight(n int) int64 { return (graph.Inf - 1) / int64(max(n-1, 1)) }
 
 // weightSeed derives a generator spec's weight-stream seed. The spec-seed

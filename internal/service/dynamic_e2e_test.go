@@ -126,6 +126,10 @@ func TestDynamicGraphValidation(t *testing.T) {
 	s := testServer(t)
 	var info GraphInfo
 	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":`+ciGraphJSON+`}`), http.StatusCreated, &info)
+	// A 3-node path: reweighting {0,1} to 1537228672809129300 passes the
+	// per-weight (n-1)·w < 2^62 bound but leaves the engine's weight domain.
+	var path3 GraphInfo
+	decodeBody(t, do(t, s, "POST", "/v1/graphs", `{"graph":{"n":3,"edges":[[0,1,1],[1,2,1]]}}`), http.StatusCreated, &path3)
 
 	for name, tc := range map[string]struct {
 		method, path, body string
@@ -139,6 +143,7 @@ func TestDynamicGraphValidation(t *testing.T) {
 		"patch-bad-op":         {"PATCH", "/v1/graphs/" + info.ID + "/edges", `{"deltas":[{"op":"upsert","u":0,"v":1,"w":1}]}`, http.StatusBadRequest},
 		"patch-delete-missing": {"PATCH", "/v1/graphs/" + info.ID + "/edges", `{"deltas":[{"op":"delete","u":1,"v":3}]}`, http.StatusBadRequest},
 		"patch-out-of-range":   {"PATCH", "/v1/graphs/" + info.ID + "/edges", `{"deltas":[{"op":"insert","u":0,"v":9,"w":1}]}`, http.StatusBadRequest},
+		"patch-out-of-domain":  {"PATCH", "/v1/graphs/" + path3.ID + "/edges", `{"deltas":[{"op":"reweight","u":0,"v":1,"w":1537228672809129300}]}`, http.StatusBadRequest},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if w := do(t, s, tc.method, tc.path, tc.body); w.Code != tc.status {
@@ -146,11 +151,16 @@ func TestDynamicGraphValidation(t *testing.T) {
 			}
 		})
 	}
-	// Failed patches must not have advanced the revision.
-	var got GraphInfo
-	decodeBody(t, do(t, s, "GET", "/v1/graphs/"+info.ID, ""), http.StatusOK, &got)
-	if got.Revision != 1 {
-		t.Fatalf("failed patches advanced revision to %d", got.Revision)
+	// Failed patches must not have advanced the revision, and the handles
+	// still answer queries.
+	for _, id := range []string{info.ID, path3.ID} {
+		var got GraphInfo
+		decodeBody(t, do(t, s, "GET", "/v1/graphs/"+id, ""), http.StatusOK, &got)
+		if got.Revision != 1 {
+			t.Fatalf("%s: failed patches advanced revision to %d", id, got.Revision)
+		}
+		var resp SSSPResponse
+		decodeBody(t, do(t, s, "POST", "/v1/sssp", `{"graph":{"graph_id":"`+id+`"},"source":0}`), http.StatusOK, &resp)
 	}
 }
 

@@ -299,6 +299,12 @@ func (r *GraphRegistry) Patch(id string, deltas []graph.EdgeDelta) (PatchInfo, e
 	if err != nil {
 		return PatchInfo{}, badRequest{err}
 	}
+	// The per-weight bound parseDeltas checks is necessary only; the exact
+	// domain is a whole-graph property, so judge the patched snapshot
+	// before any revision, trace or cache state moves.
+	if err := checkWeightDomain(ng); err != nil {
+		return PatchInfo{}, err
+	}
 	effects, err := incr.Effects(old.g, deltas)
 	if err != nil {
 		return PatchInfo{}, badRequest{err} // unreachable after ApplyDeltas, but loud beats silent

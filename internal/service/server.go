@@ -48,8 +48,8 @@ type Config struct {
 	// HistoryDir is ignored.
 	//
 	// Deprecated: the daemon no longer runs sweeps or keeps a bench
-	// history; dsssp-bench writes reports and dsssp-diff -trend chains
-	// them. The field is kept only so existing callers still compile.
+	// history; dsssp-bench writes reports and dsssp-diff compares them.
+	// The field is kept only so existing callers still compile.
 	HistoryDir string
 	// CacheBytes is the result cache's byte budget (default 64 MiB; <= 0
 	// after defaulting disables storage but keeps request deduplication).
